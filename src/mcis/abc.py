@@ -23,7 +23,7 @@ from .errors import (
     ModelEvaluationError,
     ParameterError,
 )
-from .mcmc import Prior, ProposalState, adapt_covariance, propose
+from .mcmc import Prior, ProposalState, _log_uniform, adapt_covariance, propose
 from .models.abc_model import AbcModel
 
 __all__ = [
@@ -222,7 +222,7 @@ def run_abc_mcmc(
         log_prior_new = prior.log_density(theta_new)
         if log_prior_new > -math.inf:
             distance_new = _simulate_distance(model, theta_new, rng, k)
-            if distance_new <= epsilon0 and math.log(rng.random()) < (
+            if distance_new <= epsilon0 and _log_uniform(rng) < (
                 log_prior_new - log_prior
             ):
                 theta, log_prior, distance = theta_new, log_prior_new, distance_new

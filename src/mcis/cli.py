@@ -68,7 +68,7 @@ from .mcmc import (
 )
 from .models.abc_model import GaussianLocationAbc
 from .models.diffusion import DiffusionFamily, LinearDrift
-from .models.lgssm import LinearGaussianSSM, kalman_loglik, lgssm_feynman_kac
+from .models.lgssm import KalmanLikelihood, LgssmFamily
 from .multilevel import DEFAULT_SUBSTEP_GUARD, build_schedule, ire, run_mlmc_is
 from .parallel import worker_count
 from .rng import KeyedStreams
@@ -576,42 +576,6 @@ def load_config(path, algorithm_override: str | None = None) -> ExperimentConfig
 
 
 @dataclass(frozen=True)
-class LgssmFamily:
-    """Scalar linear-Gaussian models indexed by the transition coefficient."""
-
-    transition_noise: float
-    observation_gain: float
-    observation_noise: float
-    initial_mean: float
-    initial_variance: float
-    observations: tuple
-
-    def ssm(self, transition: float) -> LinearGaussianSSM:
-        return LinearGaussianSSM(
-            transition_matrix=transition,
-            transition_cov=self.transition_noise,
-            observation_matrix=self.observation_gain,
-            observation_cov=self.observation_noise,
-            initial_mean=self.initial_mean,
-            initial_cov=self.initial_variance,
-            observations=np.array(self.observations),
-        )
-
-    def __call__(self, theta):
-        return lgssm_feynman_kac(self.ssm(float(np.atleast_1d(theta)[0])))
-
-
-@dataclass(frozen=True)
-class KalmanLikelihood:
-    """Deterministic surrogate: the exact likelihood of the linear model."""
-
-    family: LgssmFamily
-
-    def __call__(self, theta, rng) -> float:
-        return kalman_loglik(self.family.ssm(float(np.atleast_1d(theta)[0])))
-
-
-@dataclass(frozen=True)
 class ParameterCoordinate:
     """Chain test function returning one parameter coordinate."""
 
@@ -918,11 +882,12 @@ def _drive_da(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
     stage1 = np.array(
         [math.exp(p["log_stage1"]) for p in trace.payloads], dtype=float
     )
+    # a prior-rejected proposal records log_stage2 = 0.0 but runs no filter
     stage2 = np.array(
         [
             math.exp(p["log_stage2"])
             for p in trace.payloads
-            if p["log_stage2"] is not None
+            if p["log_stage1"] > -math.inf and p["log_stage2"] is not None
         ],
         dtype=float,
     )

@@ -406,12 +406,19 @@ def _log_regularized(log_likelihood: float, eps_reg: float) -> float:
     return float(np.logaddexp(log_likelihood, math.log(eps_reg)))
 
 
+def _log_uniform(rng: np.random.Generator) -> float:
+    """``log(u)`` for one uniform draw; ``-inf`` for ``u = 0``, where
+    ``math.log`` raises (every ``u > 0`` decides as before)."""
+    u = rng.random()
+    return math.log(u) if u > 0.0 else -math.inf
+
+
 def _accepts(rng: np.random.Generator, log_ratio: float) -> bool:
     if log_ratio >= 0.0:
         return True
     if log_ratio == -math.inf:
         return False
-    return math.log(rng.random()) < log_ratio
+    return _log_uniform(rng) < log_ratio
 
 
 def _initialize(prior, draw_state, rng, what: str):

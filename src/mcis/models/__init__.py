@@ -22,6 +22,8 @@ from .diffusion import (
 from .fk import FeynmanKacModel
 from .gillespie import GillespiePath, Stoichiometry, gillespie_simulate
 from .lgssm import (
+    KalmanLikelihood,
+    LgssmFamily,
     LinearGaussianSSM,
     kalman_loglik,
     kalman_smoother_means,
@@ -31,6 +33,8 @@ from .lgssm import (
 __all__ = [
     "FeynmanKacModel",
     "LinearGaussianSSM",
+    "LgssmFamily",
+    "KalmanLikelihood",
     "kalman_loglik",
     "kalman_smoother_means",
     "lgssm_feynman_kac",

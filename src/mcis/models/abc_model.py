@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from ..errors import ParameterError
 from .gillespie import Stoichiometry, gillespie_simulate
@@ -68,10 +67,14 @@ def gaussian_abc_likelihood(theta, sigma: float, epsilon: float, y_star: float):
         raise ParameterError("tolerance must be positive")
     if sigma <= 0.0:
         raise ParameterError("sigma must be positive")
+    # the standard normal cdf; imported here because importing scipy
+    # costs every command-line call most of its start-up time
+    from scipy.special import ndtr
+
     theta = np.asarray(theta, float)
     hi = (y_star + epsilon - theta) / sigma
     lo = (y_star - epsilon - theta) / sigma
-    out = norm.cdf(hi) - norm.cdf(lo)
+    out = ndtr(hi) - ndtr(lo)
     if out.ndim == 0:
         return float(out)
     return out

@@ -166,3 +166,21 @@ class UnitPotentialModel(FeynmanKacModel):
 
     def log_potential(self, p, x):
         return np.zeros(x.shape[0])
+
+
+class ZeroUniformGenerator:
+    """A numpy generator whose ``random()`` draws are all exactly 0.0.
+
+    Every other method is the wrapped generator's.  ``random()`` can
+    return 0.0 (its range is [0, 1)), so an accept/reject test built
+    on ``log(u)`` must survive it.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, *args, **kwargs):
+        return 0.0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

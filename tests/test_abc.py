@@ -40,6 +40,8 @@ from mcis.models.abc_model import (
 )
 from mcis.rng import substream
 
+from conftest import ZeroUniformGenerator
+
 
 def _theta0(theta):
     return float(theta[0])
@@ -159,6 +161,22 @@ def test_trace_structure_and_ball_invariant():
     assert records[0]["k"] == 1
     assert set(records[0]) == {"k", "theta", "distance", "accepted"}
     assert records[-1]["theta"] == trace.thetas[-1].tolist()
+
+
+def test_chain_accepts_on_a_zero_uniform_draw():
+    # u = 0.0 is a legal draw; log(u) = -inf accepts every in-ball move
+    trace = run_abc_mcmc(
+        GaussianLocationAbc(sigma=1.0, y_star=0.3),
+        0.8,
+        UniformPrior(-2.0, 2.0),
+        ProposalState.isotropic(1, sd=0.5),
+        50,
+        ZeroUniformGenerator(4),
+        theta_init=[0.3],
+    )
+    assert trace.accepted.any()
+    first = int(np.argmax(trace.accepted))
+    assert np.all(trace.distances[first:] <= 0.8)
 
 
 def test_chain_targets_tolerance_smoothed_posterior():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +35,20 @@ from mcis.mcmc import (
 )
 from mcis.models.abc_model import GaussianLocationAbc, gaussian_abc_likelihood
 from mcis.models.diffusion import ou_exact_lgssm, ou_level_lgssm
-from mcis.models.lgssm import kalman_loglik, kalman_smoother_means, lgssm_feynman_kac
+from mcis.models.lgssm import (
+    KalmanLikelihood,
+    LgssmFamily,
+    kalman_loglik,
+    kalman_smoother_means,
+    lgssm_feynman_kac,
+)
 from mcis.multilevel import build_schedule, randomized_smoother_estimate
 from mcis.rng import KeyedStreams, substream
 from mcis.smc import RESAMPLING_SCHEMES, ratio_estimate, run_delta_pf, run_particle_filter
 
 from conftest import (
     OU_DRIFT,
+    REFERENCE_TRANS_VAR,
     YS_COEFF_06,
     YS_COEFF_09,
     UnitPotentialModel,
@@ -62,26 +68,17 @@ def _report(number: int, ok: bool, detail: str) -> None:
 # Shared model plumbing (module-level so worker processes can pickle it)
 
 
-@dataclass(frozen=True)
-class _CoeffFamily:
-    """Scalar linear-Gaussian models indexed by the transition coefficient."""
-
-    ys: tuple
-
-    def __call__(self, theta):
-        coeff = float(np.atleast_1d(theta)[0])
-        return lgssm_feynman_kac(scalar_ssm(coeff=coeff, ys=self.ys))
-
-
-@dataclass(frozen=True)
-class _CoeffKalman:
-    """Deterministic evaluator: the exact likelihood at the coefficient."""
-
-    ys: tuple
-
-    def __call__(self, theta, rng) -> float:
-        coeff = float(np.atleast_1d(theta)[0])
-        return kalman_loglik(scalar_ssm(coeff=coeff, ys=self.ys))
+# The linear-Gaussian family and Kalman surrogate the command line builds,
+# on the record simulated with coefficient 0.6
+FAMILY_06 = LgssmFamily(
+    transition_noise=REFERENCE_TRANS_VAR,
+    observation_gain=1.0,
+    observation_noise=1.0,
+    initial_mean=0.0,
+    initial_variance=1.0,
+    observations=YS_COEFF_06,
+)
+KALMAN_06 = KalmanLikelihood(FAMILY_06)
 
 
 def _final_state(paths):
@@ -230,8 +227,7 @@ def test_criterion_06_increment_variance_decay():
 
 
 def test_criterion_07_posterior_agreement():
-    family = _CoeffFamily(YS_COEFF_06)
-    kalman = _CoeffKalman(YS_COEFF_06)
+    family, kalman = FAMILY_06, KALMAN_06
     prior = UniformPrior(0.0, 1.0)
     proposal = ProposalState.isotropic(1, sd=0.15)
     m, n_burn, n_particles, eps_reg = 200_000, 20_000, 32, 0.01
@@ -283,11 +279,11 @@ def test_criterion_07_posterior_agreement():
 
 
 def test_criterion_08_stage_product_inequality():
-    family = _CoeffFamily(YS_COEFF_06)
+    family = FAMILY_06
     trace, _ = run_delayed_acceptance(
         UniformPrior(0.0, 1.0),
         ProposalState.isotropic(1, sd=0.15),
-        _CoeffKalman(YS_COEFF_06),
+        KALMAN_06,
         particle_likelihood_runner(family, 32),
         0.01,
         2000,
@@ -315,8 +311,7 @@ def test_criterion_08_stage_product_inequality():
 
 
 def test_criterion_09_variance_ordering():
-    family = _CoeffFamily(YS_COEFF_06)
-    kalman = _CoeffKalman(YS_COEFF_06)
+    family, kalman = FAMILY_06, KALMAN_06
     prior = UniformPrior(0.0, 1.0)
     proposal = ProposalState.isotropic(1, sd=0.15)
     m, n_burn = 3000, 500

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcis
 from mcis.cli import load_config, main, run_experiment, validate_config
 from mcis.errors import ConfigError
 
@@ -412,3 +418,43 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     text = _ABC_CONFIG.replace("epsilon_post = 0.5", "epsilon_post = 1e-12")
     assert run_experiment(_write(tmp_path, text)) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; no command needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(mcis.__file__).parents[1]))
+    code = "import sys, mcis.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_da_counts_only_exact_stage2_evaluations(tmp_path):
+    # a wide proposal under a U(0, 1) prior: many proposals miss the
+    # support, are rejected before stage 1 and must not count as stage 2
+    text = _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = da")
+    text = text.replace("proposal_sd = 0.2", "proposal_sd = 1.0")
+    text = text.replace("replicates = 2\n", "")
+    # well below the likelihood (~1e-3 here), so stage 1 also rejects
+    text = text.replace("eps_reg = 0.01", "eps_reg = 1e-10")
+    assert run_experiment(_write(tmp_path, text)) == 0
+    out_dir = tmp_path / "experiment_out"
+    results = json.loads((out_dir / "summary.json").read_text())["results"]
+    records = [
+        json.loads(line) for line in (out_dir / "trace.jsonl").read_text().splitlines()
+    ]
+    prior_rejected = [r for r in records if r["log_stage1"] is None]
+    exact = [
+        r["log_stage2"] for r in records
+        if r["log_stage1"] is not None and r["log_stage2"] is not None
+    ]
+    screened_out = [
+        r for r in records if r["log_stage1"] is not None and r["log_stage2"] is None
+    ]
+    assert prior_rejected and screened_out and exact
+    assert results["stage2_evaluations"] == len(exact)
+    assert results["mean_stage2_probability"] == pytest.approx(
+        np.mean([math.exp(v) for v in exact]), rel=1e-12
+    )

@@ -4,7 +4,9 @@ The scalar reference record is checked against frozen values obtained
 by direct joint-Gaussian evaluation (see conftest).  Beyond that, the
 recursion is cross-checked against a brute-force joint-Gaussian
 computation on small random models, scalar and multivariate, including
-hypothesis-generated parameter points.
+hypothesis-generated parameter points.  A scalar model's plain-float
+recursion and covariance checks are compared with the matrix path on
+the same model given as 1x1 arrays.
 """
 
 from __future__ import annotations
@@ -141,6 +143,86 @@ def test_vector_model_matches_stacked_scalar():
     means = kalman_smoother_means(vector)
     np.testing.assert_allclose(means[:, 0], kalman_smoother_means(scalar_a), rtol=1e-12)
     np.testing.assert_allclose(means[:, 1], kalman_smoother_means(scalar_b), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Scalar fast path against the 1x1 matrix path
+
+
+def _as_1x1(model):
+    """The same model with 1x1 parameters and (n+1, 1) observations."""
+    return LinearGaussianSSM(
+        transition_matrix=np.array([[model.transition_matrix]]),
+        transition_cov=np.array([[model.transition_cov]]),
+        observation_matrix=np.array([[model.observation_matrix]]),
+        observation_cov=np.array([[model.observation_cov]]),
+        initial_mean=np.array([model.initial_mean]),
+        initial_cov=np.array([[model.initial_cov]]),
+        observations=model.observations.reshape(-1, 1),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeff=st.floats(-1.5, 1.5),
+    trans_var=st.floats(0.0, 4.0),
+    obs_gain=st.floats(-3.0, 3.0),
+    obs_var=st.floats(1e-3, 4.0),
+    init_mean=st.floats(-3.0, 3.0),
+    init_var=st.floats(0.0, 4.0),
+    n=st.integers(0, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_scalar_path_matches_matrix_path(
+    coeff, trans_var, obs_gain, obs_var, init_mean, init_var, n, seed
+):
+    ys = np.random.default_rng(seed).normal(scale=2.0, size=n + 1)
+    model = LinearGaussianSSM(
+        coeff, trans_var, obs_gain, obs_var, init_mean, init_var, ys
+    )
+    matrix = _as_1x1(model)
+    assert model.scalar and not matrix.scalar
+    assert kalman_loglik(model) == pytest.approx(kalman_loglik(matrix), rel=1e-12)
+
+
+def test_scalar_path_fails_like_matrix_path():
+    # a NaN coefficient propagates to a NaN likelihood on both paths
+    model = scalar_ssm(coeff=math.nan)
+    assert math.isnan(kalman_loglik(model))
+    assert math.isnan(kalman_loglik(_as_1x1(model)))
+    # a non-positive innovation variance fails in the Cholesky factor
+    model = scalar_ssm(trans_var=-math.inf)
+    for form in (model, _as_1x1(model)):
+        with pytest.raises(np.linalg.LinAlgError):
+            kalman_loglik(form)
+
+
+def _construction_outcome(field, value):
+    args = dict(
+        transition_matrix=0.9,
+        transition_cov=0.25,
+        observation_matrix=1.0,
+        observation_cov=1.0,
+        initial_mean=0.0,
+        initial_cov=1.0,
+        observations=REFERENCE_YS,
+    )
+    args[field] = value
+    try:
+        LinearGaussianSSM(**args)
+    except ParameterError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("field", ["transition_cov", "observation_cov", "initial_cov"])
+@pytest.mark.parametrize("value", [-0.25, -1e-13, 0.0, math.nan, math.inf, -math.inf])
+def test_variance_checks_agree_for_0d_and_1x1(field, value):
+    scalar = _construction_outcome(field, value)
+    assert scalar == _construction_outcome(field, np.array([[value]]))
+    assert scalar == _construction_outcome(field, np.float64(value))
+    if value == -0.25 or math.isnan(value):
+        assert scalar is not None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,12 @@ from mcis.mcmc import (
 from mcis.models.lgssm import kalman_loglik, lgssm_feynman_kac
 from mcis.rng import substream
 
-from conftest import YS_COEFF_06, lgssm_posterior_quadrature, scalar_ssm
+from conftest import (
+    YS_COEFF_06,
+    ZeroUniformGenerator,
+    lgssm_posterior_quadrature,
+    scalar_ssm,
+)
 
 
 def _kalman_evaluator(ys=YS_COEFF_06, inflate=1.0):
@@ -244,6 +249,25 @@ def test_pmmh_skips_evaluation_outside_prior_support():
     assert all(0.0 <= t <= 1.0 for t in evaluated)
     assert len(evaluated) <= 20  # nearly every proposal misses the support
     assert np.all((trace.thetas >= 0.0) & (trace.thetas <= 1.0))
+
+
+def test_pmmh_accepts_on_a_zero_uniform_draw():
+    # u = 0.0 is a legal draw; log(u) = -inf accepts every finite ratio
+    evaluated = []
+
+    def counting(theta, rng):
+        evaluated.append(float(theta[0]))
+        return kalman_loglik(scalar_ssm(coeff=float(theta[0]), ys=YS_COEFF_06))
+
+    trace, _ = run_pmmh(
+        UNIT_PRIOR,
+        ProposalState.isotropic(1, sd=0.3),
+        counting,
+        n_iterations=40,
+        rng=ZeroUniformGenerator(12),
+    )
+    # the initial state plus every in-support proposal, each accepted
+    assert int(trace.accepted.sum()) == len(evaluated) - 1 > 0
 
 
 def test_pmmh_estimate_is_post_burn_functional_mean():
