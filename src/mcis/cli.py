@@ -31,7 +31,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,22 +72,12 @@ from .models.abc_model import GaussianLocationAbc
 from .models.diffusion import DiffusionFamily, LinearDrift
 from .models.lgssm import KalmanLikelihood, LgssmFamily
 from .multilevel import DEFAULT_SUBSTEP_GUARD, build_schedule, ire, run_mlmc_is
+from .multilevel import particle_substeps
 from .parallel import worker_count
 from .rng import KeyedStreams
 from .smc import RESAMPLING_SCHEMES, run_particle_filter
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
-
-ALGORITHMS = (
-    "pf",
-    "pmmh",
-    "da",
-    "mcmc-is",
-    "mlmc-is",
-    "abc-mcmc",
-    "abc-adaptive",
-    "compare",
-)
 
 COST_UNIT = "particle-substeps (one particle advanced one transition substep)"
 
@@ -104,162 +96,208 @@ _RUNTIME_ERRORS = (
 # ---------------------------------------------------------------------------
 # Schema
 
-
-_SECTION_FIELDS = {
-    "experiment": ("algorithm", "seed", "output_dir", "workers"),
-    "model": (
-        "family",
-        # linear-Gaussian state space
-        "transition",
-        "transition_noise",
-        "observation_gain",
-        "observation_noise",
-        "initial_mean",
-        "initial_variance",
-        # diffusion
-        "drift",
-        "sigma",
-        "interval",
-        "init_mean",
-        "init_sd",
-        "obs_gain",
-        "obs_var",
-        "level",
-        # likelihood-free location toy (shares "sigma")
-        "y_star",
-        # data source (exactly one)
-        "observations",
-        "simulate",
-    ),
-    "prior": ("kind", "low", "high", "mean", "sd"),
-    "sampler": (
-        "n_iterations",
-        "n_burn",
-        "n_particles",
-        "scheme",
-        "eps_reg",
-        "alpha_target",
-        "beta",
-        "replicates",
-        "thinning",
-        "epsilon0",
-        "epsilon_post",
-        "proposal_sd",
-    ),
-    "schedule": ("rho", "n_base", "variant", "eta"),
-    "guard": ("substeps",),
+# the model families each algorithm runs on
+ALGORITHM_FAMILIES = {
+    "pf": ("lgssm", "ou"),
+    "pmmh": ("lgssm",),
+    "da": ("lgssm",),
+    "mcmc-is": ("lgssm",),
+    "mlmc-is": ("ou",),
+    "abc-mcmc": ("gaussian",),
+    "abc-adaptive": ("gaussian",),
+    "compare": ("lgssm",),
 }
 
-_INT_FIELDS = {
-    ("experiment", "seed"),
-    ("experiment", "workers"),
-    ("model", "simulate"),
-    ("model", "level"),
-    ("sampler", "n_iterations"),
-    ("sampler", "n_burn"),
-    ("sampler", "n_particles"),
-    ("sampler", "replicates"),
-    ("sampler", "thinning"),
-    ("schedule", "n_base"),
-    ("guard", "substeps"),
-}
-
-_FLOAT_FIELDS = {
-    ("model", name)
-    for name in (
-        "transition",
-        "transition_noise",
-        "observation_gain",
-        "observation_noise",
-        "initial_mean",
-        "initial_variance",
-        "drift",
-        "sigma",
-        "interval",
-        "init_mean",
-        "init_sd",
-        "obs_gain",
-        "obs_var",
-        "y_star",
-    )
-} | {
-    ("sampler", "eps_reg"),
-    ("sampler", "alpha_target"),
-    ("sampler", "beta"),
-    ("sampler", "epsilon0"),
-    ("sampler", "epsilon_post"),
-    ("sampler", "proposal_sd"),
-    ("schedule", "rho"),
-    ("schedule", "eta"),
-}
-
-_VECTOR_FIELDS = {
-    ("prior", "low"),
-    ("prior", "high"),
-    ("prior", "mean"),
-    ("prior", "sd"),
-}
-
-_MODEL_FAMILY_FIELDS = {
-    "lgssm": (
-        "transition",
-        "transition_noise",
-        "observation_gain",
-        "observation_noise",
-        "initial_mean",
-        "initial_variance",
-        "observations",
-        "simulate",
-    ),
-    "ou": (
-        "drift",
-        "sigma",
-        "interval",
-        "init_mean",
-        "init_sd",
-        "obs_gain",
-        "obs_var",
-        "level",
-        "observations",
-        "simulate",
-    ),
-    "gaussian": ("sigma", "y_star"),
-}
-
-# algorithms whose inference loop is a parameter chain over an SSM
-_CHAIN_ALGORITHMS = ("pmmh", "da", "mcmc-is", "mlmc-is", "compare")
+# algorithms that sample the parameter: all but pf
+_SAMPLING = tuple(name for name in ALGORITHM_FAMILIES if name != "pf")
+_PARTICLE = ("pf", "pmmh", "da", "mcmc-is", "compare")
+_LGSSM, _OU, _SSM = ("lgssm",), ("ou",), ("lgssm", "ou")
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
+@dataclass(frozen=True)
+class Range:
+    """Interval a number field must lie in.
+
+    ``ends`` holds the bracket at each end: ``[`` / ``]`` closed,
+    ``(`` / ``)`` open.  ``text`` replaces the generated error text and
+    may use ``{value}`` and ``{range}``.
+    """
+
+    low: float
+    high: float = math.inf
+    ends: str = "[)"
+    text: str = ""
+
+    def __contains__(self, value) -> bool:
+        above = value >= self.low if self.ends[0] == "[" else value > self.low
+        below = value <= self.high if self.ends[1] == "]" else value < self.high
+        return above and below
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>=' if self.ends[0] == '[' else '>'} {self.low}"
+        return f"{self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+
+    def error(self, value) -> str:
+        if self.text:
+            return self.text.format(value=value, range=self)
+        return f"must be {self}" if self.high == math.inf else f"must lie in {self}"
+
+
+_AT_LEAST_0 = Range(0)
+_AT_LEAST_1 = Range(1)
+_POSITIVE = Range(0, ends="()")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field: where it lives, what it holds, where it applies.
+
+    ``kind`` is ``int``, ``float``, ``tuple`` (comma-separated floats)
+    or ``str``.  The field applies to the model ``families`` and the
+    ``algorithms`` listed (``None``: all of them).  Where it applies, a
+    missing field takes ``default``, or is an error when ``required``,
+    and a present one must lie in ``range`` or among ``choices``.  A
+    model field given for a family it does not apply to is an error; a
+    field of another section is ignored where it does not apply.  A key
+    may have several entries for disjoint families or algorithms.
+    """
+
+    section: str
+    key: str
+    kind: type = float
+    default: object = None
+    required: bool = False
+    range: Range | None = None
+    choices: tuple = ()
+    families: tuple | None = None
+    algorithms: tuple | None = None
+
+    def applies(self, algorithm: str, family: str) -> bool:
+        return (self.families is None or family in self.families) and (
+            self.algorithms is None or algorithm in self.algorithms
+        )
+
+
+_ALGORITHM = Field(
+    "experiment", "algorithm", str, required=True, choices=tuple(ALGORITHM_FAMILIES)
+)
+_FAMILY = Field("model", "family", str, required=True, choices=("gaussian", "lgssm", "ou"))
+
+# the whole schema; the order is the order of the checks
+FIELDS = (
+    _ALGORITHM,
+    Field("experiment", "seed", int, required=True,
+          range=Range(0, 2**64, text="must fit in 64 bits")),
+    Field("experiment", "output_dir", str),
+    Field("experiment", "workers", int, range=_AT_LEAST_1),
+    _FAMILY,
+    Field("model", "transition", required=True, families=_LGSSM),
+    Field("model", "transition_noise", required=True, range=_AT_LEAST_0,
+          families=_LGSSM),
+    Field("model", "observation_gain", default=1.0, families=_LGSSM),
+    Field("model", "observation_noise", default=1.0, range=_POSITIVE, families=_LGSSM),
+    Field("model", "initial_mean", default=0.0, families=_LGSSM),
+    Field("model", "initial_variance", default=1.0, range=_AT_LEAST_0, families=_LGSSM),
+    Field("model", "drift", required=True, families=_OU),
+    Field("model", "sigma", required=True, range=_POSITIVE, families=_OU),
+    Field("model", "interval", default=1.0, range=_POSITIVE, families=_OU),
+    Field("model", "init_mean", default=0.0, families=_OU),
+    Field("model", "init_sd", default=1.0, range=_AT_LEAST_0, families=_OU),
+    Field("model", "obs_gain", default=1.0, families=_OU),
+    Field("model", "obs_var", default=1.0, range=_POSITIVE, families=_OU),
+    Field("model", "level", int, default=0, range=_AT_LEAST_0, families=_OU),
+    Field("model", "sigma", default=1.0, range=_POSITIVE, families=("gaussian",)),
+    Field("model", "y_star", required=True, families=("gaussian",)),
+    Field("model", "observations", str, families=_SSM),
+    Field("model", "simulate", int, range=Range(2), families=_SSM),
+    Field("sampler", "n_particles", int, required=True, range=_AT_LEAST_1,
+          algorithms=_PARTICLE),
+    Field("sampler", "n_iterations", int, required=True, range=_AT_LEAST_1,
+          algorithms=_SAMPLING),
+    Field("sampler", "n_burn", int, default=0, range=_AT_LEAST_0, algorithms=_SAMPLING),
+    Field("sampler", "scheme", str, default="systematic", choices=RESAMPLING_SCHEMES),
+    Field("sampler", "eps_reg", default=1e-6, range=_AT_LEAST_0),
+    Field("sampler", "alpha_target", default=0.1, range=Range(0, 1, "()")),
+    Field("sampler", "beta", default=1.96, range=_POSITIVE),
+    Field("sampler", "replicates", int, default=1, range=_AT_LEAST_1),
+    Field("sampler", "thinning", int, default=1, range=_AT_LEAST_1),
+    Field("sampler", "epsilon0", required=True, range=_POSITIVE,
+          algorithms=("abc-mcmc",)),
+    Field("sampler", "epsilon0", range=_POSITIVE, algorithms=("abc-adaptive",)),
+    Field("sampler", "epsilon_post", range=_POSITIVE),
+    Field("sampler", "proposal_sd", default=0.1, range=_POSITIVE),
+    Field("prior", "kind", str, required=True, choices=("uniform", "gaussian"),
+          algorithms=_SAMPLING),
+    Field("prior", "low", tuple, algorithms=_SAMPLING),
+    Field("prior", "high", tuple, algorithms=_SAMPLING),
+    Field("prior", "mean", tuple, algorithms=_SAMPLING),
+    Field("prior", "sd", tuple, algorithms=_SAMPLING),
+    Field("schedule", "rho", required=True,
+          range=Range(0, 1, "[]", text="{value} outside the allowed range {range}"),
+          algorithms=("mlmc-is",)),
+    Field("schedule", "n_base", int, required=True, range=_AT_LEAST_1,
+          algorithms=("mlmc-is",)),
+    Field("schedule", "variant", str, default="plain", choices=("plain", "log_factor"),
+          algorithms=("mlmc-is",)),
+    Field("schedule", "eta", default=2.0, algorithms=("mlmc-is",)),
+    Field("guard", "substeps", int, default=DEFAULT_SUBSTEP_GUARD, range=_AT_LEAST_1),
+)
+
+_KINDS = {(field.section, field.key): field.kind for field in FIELDS}
+_SECTIONS = tuple(dict.fromkeys(field.section for field in FIELDS))
 
 
 def _coerce(section: str, key: str, value) -> object:
-    where = f"{section}.{key}"
-    if (section, key) in _INT_FIELDS:
-        if isinstance(value, bool) or isinstance(value, float):
-            raise _fail(f"field {where}: expected an integer, got {value!r}")
+    kind = _KINDS[section, key]
+    where = f"field {section}.{key}"
+    if kind is str:
+        return str(value).strip()
+    if kind is int:
         try:
             return int(str(value).strip())
         except ValueError:
-            raise _fail(f"field {where}: expected an integer, got {value!r}")
-    if (section, key) in _FLOAT_FIELDS:
-        if isinstance(value, bool):
-            raise _fail(f"field {where}: expected a number, got {value!r}")
-        try:
-            return float(str(value).strip())
-        except ValueError:
-            raise _fail(f"field {where}: expected a number, got {value!r}")
-    if (section, key) in _VECTOR_FIELDS:
-        if isinstance(value, (list, tuple)):
-            parts = list(value)
-        else:
-            parts = str(value).split(",")
-        try:
-            return tuple(float(str(p).strip()) for p in parts)
-        except ValueError:
-            raise _fail(f"field {where}: expected numbers, got {value!r}")
-    return str(value).strip()
+            raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+    if kind is float:
+        parts, expected = [value], "a number"
+    else:
+        parts = list(value) if isinstance(value, (list, tuple)) else str(value).split(",")
+        expected = "numbers"
+    try:
+        numbers = tuple(float(str(part).strip()) for part in parts)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
+    if not all(math.isfinite(number) for number in numbers):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return numbers[0] if kind is float else numbers
+
+
+def _settle(field: Field, values: dict):
+    """Apply ``field``'s default or requirement to ``values``; check and
+    return its value."""
+    where = f"{field.section}.{field.key}"
+    if field.key not in values:
+        if field.required:
+            raise ConfigError(f"missing required field {where}")
+        if field.default is None:
+            return None
+        values[field.key] = field.default
+    value = values[field.key]
+    if field.range is not None and value not in field.range:
+        raise ConfigError(f"field {where}: {field.range.error(value)}")
+    if field.choices and value not in field.choices:
+        choices = field.choices
+        options = (
+            " or ".join(choices) if len(choices) == 2 else "one of " + ", ".join(choices)
+        )
+        raise ConfigError(f"field {where}: unknown {field.key} {value!r}; choose {options}")
+    return value
+
+
+def _require(values: dict, section: str, key: str):
+    if key not in values:
+        raise ConfigError(f"missing required field {section}.{key}")
+    return values[key]
 
 
 def _load_raw(path: Path) -> dict:
@@ -267,22 +305,22 @@ def _load_raw(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail(f"cannot read config file {path}: {exc}")
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     if path.suffix.lower() == ".json":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise _fail(f"invalid JSON config (line {exc.lineno}): {exc.msg}")
+            raise ConfigError(f"invalid JSON config (line {exc.lineno}): {exc.msg}")
         if not isinstance(data, dict) or not all(
             isinstance(v, dict) for v in data.values()
         ):
-            raise _fail("JSON config must be an object of section objects")
+            raise ConfigError("JSON config must be an object of section objects")
         return {str(s): dict(v) for s, v in data.items()}
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise _fail(f"cannot parse config: {exc}")
+        raise ConfigError(f"cannot parse config: {exc}")
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
@@ -309,265 +347,93 @@ class ExperimentConfig:
 
     @property
     def observation_count(self) -> int | None:
-        if "simulate" in self.model:
-            return self.model["simulate"]
-        if "observations" in self.model:
-            return None  # resolved when the file is loaded
-        return None
-
-
-_SAMPLER_DEFAULTS = {
-    "n_burn": 0,
-    "scheme": "systematic",
-    "eps_reg": 1e-6,
-    "alpha_target": 0.1,
-    "beta": 1.96,
-    "replicates": 1,
-    "thinning": 1,
-    "proposal_sd": 0.1,
-}
-
-_MODEL_DEFAULTS = {
-    "lgssm": {
-        "observation_gain": 1.0,
-        "observation_noise": 1.0,
-        "initial_mean": 0.0,
-        "initial_variance": 1.0,
-    },
-    "ou": {
-        "interval": 1.0,
-        "init_mean": 0.0,
-        "init_sd": 1.0,
-        "obs_gain": 1.0,
-        "obs_var": 1.0,
-        "level": 0,
-    },
-    "gaussian": {"sigma": 1.0},
-}
-
-
-def _require(mapping: dict, section: str, key: str):
-    if key not in mapping:
-        raise _fail(f"missing required field {section}.{key}")
-    return mapping[key]
-
-
-def _check_range(ok: bool, message: str):
-    if not ok:
-        raise _fail(message)
+        return self.model.get("simulate")
 
 
 def load_config(path, algorithm_override: str | None = None) -> ExperimentConfig:
     """Parse and fully validate a config file (no execution)."""
     path = Path(path)
     raw = _load_raw(path)
-
-    for section in raw:
-        if section not in _SECTION_FIELDS:
-            raise _fail(f"unknown section [{section}]")
-        for key in raw[section]:
-            if key not in _SECTION_FIELDS[section]:
-                raise _fail(f"unknown field {section}.{key}")
+    for section, values in raw.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in values:
+            if (section, key) not in _KINDS:
+                raise ConfigError(f"unknown field {section}.{key}")
     sections = {
         name: {key: _coerce(name, key, value) for key, value in raw.get(name, {}).items()}
-        for name in _SECTION_FIELDS
+        for name in _SECTIONS
     }
-
-    experiment = sections["experiment"]
+    experiment, model, prior = sections["experiment"], sections["model"], sections["prior"]
+    sampler, schedule = sections["sampler"], sections["schedule"]
     if not experiment:
-        raise _fail("missing required section [experiment]")
-    algorithm = algorithm_override or _require(experiment, "experiment", "algorithm")
-    if algorithm not in ALGORITHMS:
-        raise _fail(
-            f"field experiment.algorithm: unknown algorithm {algorithm!r}; "
-            f"choose one of {', '.join(ALGORITHMS)}"
+        raise ConfigError("missing required section [experiment]")
+    if algorithm_override:
+        experiment["algorithm"] = algorithm_override
+    algorithm = _settle(_ALGORITHM, experiment)
+    family = _settle(_FAMILY, model)
+    used = {f.key for f in FIELDS if f.section == "model" and f.applies(algorithm, family)}
+    for key in model:
+        if key not in used:
+            raise ConfigError(f"field model.{key} is not used by family {family!r}")
+    if family not in ALGORITHM_FAMILIES[algorithm]:
+        raise ConfigError(
+            f"model.family {family!r} is not supported by algorithm {algorithm!r} "
+            f"(expected {', '.join(ALGORITHM_FAMILIES[algorithm])})"
         )
-    seed = _require(experiment, "experiment", "seed")
-    _check_range(0 <= seed < 2**64, "field experiment.seed: must fit in 64 bits")
-    workers = experiment.get("workers")
-    if workers is not None:
-        _check_range(workers >= 1, "field experiment.workers: must be >= 1")
+    if schedule and algorithm != "mlmc-is":
+        raise ConfigError("section [schedule] is only used by algorithm mlmc-is")
+    for field in FIELDS:
+        if field.applies(algorithm, family):
+            _settle(field, sections[field.section])
 
-    out_name = experiment.get("output_dir", path.stem + "_out")
-    output_dir = Path(out_name)
+    # rules that tie several fields together
+    if family in _SSM and ("observations" in model) == ("simulate" in model):
+        raise ConfigError(
+            "model: give exactly one of model.observations (a file) "
+            "or model.simulate (a count)"
+        )
+    # a parameter chain over a state-space model
+    if algorithm in _SAMPLING and family in _SSM:
+        if sampler["n_iterations"] - sampler["n_burn"] < 10:
+            raise ConfigError("sampler: need at least 10 post-burn-in iterations")
+    if algorithm == "mlmc-is" and sampler["eps_reg"] <= 0:
+        raise ConfigError(
+            "field sampler.eps_reg: must be > 0 for mlmc-is (the level-0 "
+            "normalizer can vanish)"
+        )
+    if algorithm == "abc-adaptive" and sampler["n_burn"] < 1:
+        raise ConfigError(
+            "field sampler.n_burn: the adaptation phase needs >= 1 iterations"
+        )
+    if algorithm in _SAMPLING and prior["kind"] == "uniform":
+        low = _require(prior, "prior", "low")
+        high = _require(prior, "prior", "high")
+        if len(low) != len(high) or any(h <= l for l, h in zip(low, high)):
+            raise ConfigError("prior: low must be componentwise below high")
+    if algorithm in _SAMPLING and prior["kind"] == "gaussian":
+        mean = _require(prior, "prior", "mean")
+        sd = _require(prior, "prior", "sd")
+        if len(sd) not in (1, len(mean)) or any(s <= 0 for s in sd):
+            raise ConfigError("prior: sd must be positive (scalar or one per mean)")
+    if schedule.get("variant") == "log_factor" and schedule["eta"] <= 1.0:
+        raise ConfigError("field schedule.eta: must exceed 1 for the log_factor variant")
+
+    output_dir = Path(experiment.get("output_dir", path.stem + "_out"))
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
-
-    # --- model section
-    model = dict(sections["model"])
-    family = _require(model, "model", "family")
-    if family not in _MODEL_FAMILY_FIELDS:
-        raise _fail(
-            f"field model.family: unknown family {family!r}; "
-            f"choose one of {', '.join(sorted(_MODEL_FAMILY_FIELDS))}"
-        )
-    for key in model:
-        if key != "family" and key not in _MODEL_FAMILY_FIELDS[family]:
-            raise _fail(f"field model.{key} is not used by family {family!r}")
-    for key, value in _MODEL_DEFAULTS[family].items():
-        model.setdefault(key, value)
-    if family in ("lgssm", "ou"):
-        has_file = "observations" in model
-        has_sim = "simulate" in model
-        if has_file == has_sim:
-            raise _fail(
-                "model: give exactly one of model.observations (a file) "
-                "or model.simulate (a count)"
-            )
-        if has_sim:
-            _check_range(model["simulate"] >= 2, "field model.simulate: must be >= 2")
-    if family == "lgssm":
-        _require(model, "model", "transition")
-        noise = _require(model, "model", "transition_noise")
-        _check_range(noise >= 0, "field model.transition_noise: must be >= 0")
-        _check_range(
-            model["observation_noise"] > 0,
-            "field model.observation_noise: must be > 0",
-        )
-        _check_range(
-            model["initial_variance"] >= 0,
-            "field model.initial_variance: must be >= 0",
-        )
-    elif family == "ou":
-        _require(model, "model", "drift")
-        sigma = _require(model, "model", "sigma")
-        _check_range(sigma > 0, "field model.sigma: must be > 0")
-        _check_range(model["interval"] > 0, "field model.interval: must be > 0")
-        _check_range(model["init_sd"] >= 0, "field model.init_sd: must be >= 0")
-        _check_range(model["obs_var"] > 0, "field model.obs_var: must be > 0")
-        _check_range(model["level"] >= 0, "field model.level: must be >= 0")
-    else:  # gaussian
-        _require(model, "model", "y_star")
-        _check_range(model["sigma"] > 0, "field model.sigma: must be > 0")
-
-    # --- sampler section
-    sampler = dict(_SAMPLER_DEFAULTS)
-    sampler.update(sections["sampler"])
-    _check_range(sampler["thinning"] >= 1, "field sampler.thinning: must be >= 1")
-    _check_range(sampler["replicates"] >= 1, "field sampler.replicates: must be >= 1")
-    _check_range(sampler["eps_reg"] >= 0, "field sampler.eps_reg: must be >= 0")
-    _check_range(sampler["beta"] > 0, "field sampler.beta: must be > 0")
-    _check_range(
-        0 < sampler["alpha_target"] < 1,
-        "field sampler.alpha_target: must lie in (0, 1)",
-    )
-    _check_range(
-        sampler["proposal_sd"] > 0, "field sampler.proposal_sd: must be > 0"
-    )
-    if sampler["scheme"] not in RESAMPLING_SCHEMES:
-        raise _fail(
-            f"field sampler.scheme: unknown scheme {sampler['scheme']!r}; "
-            f"choose one of {', '.join(RESAMPLING_SCHEMES)}"
-        )
-
-    needs_particles = algorithm in ("pf", "pmmh", "da", "mcmc-is", "compare")
-    if needs_particles:
-        count = _require(sampler, "sampler", "n_particles")
-        _check_range(count >= 1, "field sampler.n_particles: must be >= 1")
-    if algorithm != "pf":
-        iterations = _require(sampler, "sampler", "n_iterations")
-        _check_range(iterations >= 1, "field sampler.n_iterations: must be >= 1")
-        _check_range(sampler["n_burn"] >= 0, "field sampler.n_burn: must be >= 0")
-        if algorithm in _CHAIN_ALGORITHMS:
-            _check_range(
-                iterations - sampler["n_burn"] >= 10,
-                "sampler: need at least 10 post-burn-in iterations",
-            )
-    if algorithm in ("mlmc-is",):
-        _check_range(
-            sampler["eps_reg"] > 0,
-            "field sampler.eps_reg: must be > 0 for mlmc-is (the level-0 "
-            "normalizer can vanish)",
-        )
-    if algorithm == "abc-mcmc":
-        epsilon0 = _require(sampler, "sampler", "epsilon0")
-        _check_range(epsilon0 > 0, "field sampler.epsilon0: must be > 0")
-    if algorithm == "abc-adaptive":
-        _check_range(
-            sampler["n_burn"] >= 1,
-            "field sampler.n_burn: the adaptation phase needs >= 1 iterations",
-        )
-        if "epsilon0" in sampler:
-            _check_range(sampler["epsilon0"] > 0, "field sampler.epsilon0: must be > 0")
-    if "epsilon_post" in sampler:
-        _check_range(sampler["epsilon_post"] > 0, "field sampler.epsilon_post: must be > 0")
-
-    # --- algorithm/family pairing
-    _PAIRING = {
-        "pf": ("lgssm", "ou"),
-        "pmmh": ("lgssm",),
-        "da": ("lgssm",),
-        "mcmc-is": ("lgssm",),
-        "compare": ("lgssm",),
-        "mlmc-is": ("ou",),
-        "abc-mcmc": ("gaussian",),
-        "abc-adaptive": ("gaussian",),
-    }
-    if family not in _PAIRING[algorithm]:
-        raise _fail(
-            f"model.family {family!r} is not supported by algorithm "
-            f"{algorithm!r} (expected {', '.join(_PAIRING[algorithm])})"
-        )
-
-    # --- prior section
-    prior = dict(sections["prior"])
-    if algorithm in _CHAIN_ALGORITHMS or algorithm.startswith("abc"):
-        kind = _require(prior, "prior", "kind")
-        if kind == "uniform":
-            low = _require(prior, "prior", "low")
-            high = _require(prior, "prior", "high")
-            if len(low) != len(high) or any(h <= l for l, h in zip(low, high)):
-                raise _fail("prior: low must be componentwise below high")
-        elif kind == "gaussian":
-            mean = _require(prior, "prior", "mean")
-            sd = _require(prior, "prior", "sd")
-            if len(sd) not in (1, len(mean)) or any(s <= 0 for s in sd):
-                raise _fail("prior: sd must be positive (scalar or one per mean)")
-        else:
-            raise _fail(
-                f"field prior.kind: unknown kind {kind!r}; choose uniform or gaussian"
-            )
-
-    # --- schedule section
-    schedule = dict(sections["schedule"])
-    if algorithm == "mlmc-is":
-        rho = _require(schedule, "schedule", "rho")
-        if not 0.0 <= rho <= 1.0:
-            raise _fail(
-                f"field schedule.rho: {rho} outside the allowed range [0, 1]"
-            )
-        n_base = _require(schedule, "schedule", "n_base")
-        _check_range(n_base >= 1, "field schedule.n_base: must be >= 1")
-        variant = schedule.setdefault("variant", "plain")
-        if variant not in ("plain", "log_factor"):
-            raise _fail(
-                f"field schedule.variant: unknown variant {variant!r}; "
-                "choose plain or log_factor"
-            )
-        schedule.setdefault("eta", 2.0)
-        if variant == "log_factor" and schedule["eta"] <= 1.0:
-            raise _fail("field schedule.eta: must exceed 1 for the log_factor variant")
-    elif schedule:
-        raise _fail("section [schedule] is only used by algorithm mlmc-is")
-
-    # --- guard section
-    guard = dict(sections["guard"])
-    guard.setdefault("substeps", DEFAULT_SUBSTEP_GUARD)
-    _check_range(guard["substeps"] >= 1, "field guard.substeps: must be >= 1")
-
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return ExperimentConfig(
         algorithm=algorithm,
-        seed=seed,
+        seed=experiment["seed"],
         output_dir=output_dir,
-        workers=workers,
+        workers=experiment.get("workers"),
         model=model,
         prior=prior,
         sampler=sampler,
         schedule=schedule,
-        guard=guard,
+        guard=sections["guard"],
         config_path=path,
-        config_sha256=digest,
+        config_sha256=hashlib.sha256(path.read_bytes()).hexdigest(),
     )
 
 
@@ -577,21 +443,12 @@ def load_config(path, algorithm_override: str | None = None) -> ExperimentConfig
 
 @dataclass(frozen=True)
 class ParameterCoordinate:
-    """Chain test function returning one parameter coordinate."""
+    """Test function returning one parameter coordinate; chain test
+    functions also receive the paths, which it ignores."""
 
     index: int = 0
 
-    def __call__(self, theta, paths) -> float:
-        return float(np.atleast_1d(theta)[self.index])
-
-
-@dataclass(frozen=True)
-class CoordinateFunction:
-    """Plain function of the parameter: one coordinate."""
-
-    index: int = 0
-
-    def __call__(self, theta) -> float:
+    def __call__(self, theta, paths=None) -> float:
         return float(np.atleast_1d(theta)[self.index])
 
 
@@ -600,34 +457,26 @@ def final_state(paths):
     return paths[-1]
 
 
-def _load_observations(config: ExperimentConfig, streams: KeyedStreams) -> np.ndarray:
-    model = config.model
-    if "observations" in model:
-        obs_path = Path(model["observations"])
-        if not obs_path.is_absolute():
-            obs_path = config.config_path.parent / obs_path
-        try:
-            data = np.loadtxt(obs_path, ndmin=1)
-        except OSError as exc:
-            raise _fail(f"field model.observations: cannot read {obs_path}: {exc}")
-        if data.ndim != 1 or data.size < 2:
-            raise _fail(
-                "field model.observations: expected one column with >= 2 values"
-            )
-        return data.astype(float)
-    count = model["simulate"]
-    rng = streams.stream("data")
-    if config.model["family"] == "lgssm":
-        return _simulate_lgssm(model, count, rng)
-    return _simulate_ou(model, count, rng)
+def _read_observations(config: ExperimentConfig) -> np.ndarray:
+    obs_path = Path(config.model["observations"])
+    if not obs_path.is_absolute():
+        obs_path = config.config_path.parent / obs_path
+    try:
+        data = np.loadtxt(obs_path, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"field model.observations: cannot read {obs_path}: {exc}")
+    if data.ndim != 1 or data.size < 2:
+        raise ConfigError(
+            "field model.observations: expected one column with >= 2 values"
+        )
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"field model.observations: {obs_path} holds a non-finite value")
+    return data.astype(float)
 
 
-def _simulate_lgssm(model: dict, count: int, rng) -> np.ndarray:
-    coeff = model["transition"]
-    trans_sd = math.sqrt(model["transition_noise"])
-    gain = model["observation_gain"]
-    obs_sd = math.sqrt(model["observation_noise"])
-    x = model["initial_mean"] + math.sqrt(model["initial_variance"]) * rng.standard_normal()
+def _simulate(count: int, rng, coeff, trans_sd, gain, obs_sd, init_mean, init_sd):
+    """Observations of a scalar linear-Gaussian state-space model."""
+    x = init_mean + init_sd * rng.standard_normal()
     ys = np.empty(count)
     for p in range(count):
         if p:
@@ -636,61 +485,75 @@ def _simulate_lgssm(model: dict, count: int, rng) -> np.ndarray:
     return ys
 
 
-def _simulate_ou(model: dict, count: int, rng) -> np.ndarray:
-    """Simulate observations under the exact linear-diffusion transition."""
-    drift = model["drift"]
-    sigma = model["sigma"]
-    delta = model["interval"]
+def _load_observations(config: ExperimentConfig, streams: KeyedStreams) -> np.ndarray:
+    model = config.model
+    if "observations" in model:
+        return _read_observations(config)
+    rng = streams.stream("data")
+    if model["family"] == "lgssm":
+        return _simulate(
+            model["simulate"], rng, model["transition"],
+            math.sqrt(model["transition_noise"]), model["observation_gain"],
+            math.sqrt(model["observation_noise"]), model["initial_mean"],
+            math.sqrt(model["initial_variance"]),
+        )
+    # the exact transition of the linear diffusion over one interval
+    drift, sigma, delta = model["drift"], model["sigma"], model["interval"]
     if drift == 0.0:
         factor, var = 1.0, sigma * sigma * delta
     else:
         factor = math.exp(drift * delta)
         var = sigma * sigma * math.expm1(2.0 * drift * delta) / (2.0 * drift)
-    trans_sd = math.sqrt(var)
-    obs_sd = math.sqrt(model["obs_var"])
-    x = model["init_mean"] + model["init_sd"] * rng.standard_normal()
-    ys = np.empty(count)
-    for p in range(count):
-        if p:
-            x = factor * x + trans_sd * rng.standard_normal()
-        ys[p] = model["obs_gain"] * x + obs_sd * rng.standard_normal()
-    return ys
-
-
-def _build_lgssm_family(config: ExperimentConfig, ys: np.ndarray) -> LgssmFamily:
-    model = config.model
-    return LgssmFamily(
-        transition_noise=model["transition_noise"],
-        observation_gain=model["observation_gain"],
-        observation_noise=model["observation_noise"],
-        initial_mean=model["initial_mean"],
-        initial_variance=model["initial_variance"],
-        observations=tuple(float(y) for y in ys),
+    return _simulate(
+        model["simulate"], rng, factor, math.sqrt(var), model["obs_gain"],
+        math.sqrt(model["obs_var"]), model["init_mean"], model["init_sd"],
     )
 
 
-def _build_diffusion_family(config: ExperimentConfig, ys: np.ndarray) -> DiffusionFamily:
+class _Setup(NamedTuple):
+    """What every driver starts from."""
+
+    ys: np.ndarray | None  # None for the likelihood-free family
+    family: object  # LgssmFamily, DiffusionFamily or GaussianLocationAbc
+    prior: object | None  # None for pf, which samples no parameter
+    proposal: ProposalState | None
+
+
+def _set_up(config: ExperimentConfig, streams: KeyedStreams) -> _Setup:
     model = config.model
-    return DiffusionFamily(
-        dynamics=LinearDrift(sigma=model["sigma"]),
-        interval=model["interval"],
-        init_mean=model["init_mean"],
-        init_sd=model["init_sd"],
-        obs_coeff=model["obs_gain"],
-        obs_var=model["obs_var"],
-        ys=ys,
-    )
-
-
-def _build_prior(config: ExperimentConfig):
-    prior = config.prior
-    if prior["kind"] == "uniform":
-        return UniformPrior(lower=np.array(prior["low"]), upper=np.array(prior["high"]))
-    return GaussianPrior(mean=np.array(prior["mean"]), sd=np.array(prior["sd"]))
-
-
-def _build_proposal(config: ExperimentConfig, dim: int) -> ProposalState:
-    return ProposalState.isotropic(dim, sd=config.sampler["proposal_sd"])
+    ys = None
+    if model["family"] == "lgssm":
+        ys = _load_observations(config, streams)
+        family = LgssmFamily(
+            transition_noise=model["transition_noise"],
+            observation_gain=model["observation_gain"],
+            observation_noise=model["observation_noise"],
+            initial_mean=model["initial_mean"],
+            initial_variance=model["initial_variance"],
+            observations=tuple(float(y) for y in ys),
+        )
+    elif model["family"] == "ou":
+        ys = _load_observations(config, streams)
+        family = DiffusionFamily(
+            dynamics=LinearDrift(sigma=model["sigma"]),
+            interval=model["interval"],
+            init_mean=model["init_mean"],
+            init_sd=model["init_sd"],
+            obs_coeff=model["obs_gain"],
+            obs_var=model["obs_var"],
+            ys=ys,
+        )
+    else:
+        family = GaussianLocationAbc(sigma=model["sigma"], y_star=model["y_star"])
+    if config.algorithm not in _SAMPLING:
+        return _Setup(ys, family, None, None)
+    spec = config.prior
+    if spec["kind"] == "uniform":
+        prior = UniformPrior(lower=np.array(spec["low"]), upper=np.array(spec["high"]))
+    else:
+        prior = GaussianPrior(mean=np.array(spec["mean"]), sd=np.array(spec["sd"]))
+    proposal = ProposalState.isotropic(prior.dim, sd=config.sampler["proposal_sd"])
+    return _Setup(ys, family, prior, proposal)
 
 
 # ---------------------------------------------------------------------------
@@ -760,34 +623,22 @@ def _write_csv(config: ExperimentConfig, name: str, header, rows) -> str:
     return name
 
 
-def _thin(records, stride: int):
-    for index, record in enumerate(records):
-        if index % stride == 0:
-            yield record
-
-
-def _series_summary(series: np.ndarray) -> dict:
-    stats = series_stats(series)
-    return {
-        "mean": stats.mean,
-        "sd": math.sqrt(stats.variance),
-        "iact": stats.iact,
-        "asvar": stats.asymptotic_variance,
-        "se": stats.standard_error,
-    }
+def _write_trace(config: ExperimentConfig, records) -> str:
+    """Write every ``sampler.thinning``-th record to ``trace.jsonl``."""
+    stride = config.sampler["thinning"]
+    return _write_jsonl(config, "trace.jsonl", islice(records, 0, None, stride))
 
 
 # ---------------------------------------------------------------------------
-# Per-algorithm drivers (each returns the results dict + extra files)
+# Per-algorithm drivers: each takes (config, setup, streams, n_workers) and
+# returns the results dict + extra files
 
 
-def _drive_pf(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
+def _drive_pf(config, setup, streams, n_workers):
     if config.model["family"] == "lgssm":
-        model = _build_lgssm_family(config, ys)(np.array([config.model["transition"]]))
+        model = setup.family(np.array([config.model["transition"]]))
     else:
-        family = _build_diffusion_family(config, ys)
-        model = family.level_model(
+        model = setup.family.level_model(
             np.array([config.model["drift"]]), config.model["level"]
         )
     cloud, estimate = run_particle_filter(
@@ -801,7 +652,7 @@ def _drive_pf(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
         "loglik_hat": estimate.log_normalizer,
         "likelihood_hat": estimate.normalizer,
         "final_state_mean": float(estimate.self_normalized[0]),
-        "n_observations": int(ys.size),
+        "n_observations": int(setup.ys.size),
         "n_particles": config.sampler["n_particles"],
         "scheme": config.sampler["scheme"],
     }
@@ -814,16 +665,13 @@ def _drive_pf(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
 
 
 def _chain_results(trace, n_burn: int) -> dict:
-    kept = trace.thetas[n_burn:]
-    coordinates = [
-        _series_summary(kept[:, index]) for index in range(kept.shape[1])
-    ]
+    stats = [series_stats(column) for column in trace.thetas[n_burn:].T]
     return {
-        "posterior_mean": [c["mean"] for c in coordinates],
-        "posterior_sd": [c["sd"] for c in coordinates],
-        "iact": [c["iact"] for c in coordinates],
-        "asvar": [c["asvar"] for c in coordinates],
-        "se": [c["se"] for c in coordinates],
+        "posterior_mean": [s.mean for s in stats],
+        "posterior_sd": [math.sqrt(s.variance) for s in stats],
+        "iact": [s.iact for s in stats],
+        "asvar": [s.asymptotic_variance for s in stats],
+        "se": [s.standard_error for s in stats],
         "acceptance_rate": trace.acceptance_rate,
         "n_iterations": len(trace),
         "n_burn": n_burn,
@@ -838,50 +686,62 @@ def _chain_records(trace):
         yield record
 
 
-def _drive_pmmh(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
-    family = _build_lgssm_family(config, ys)
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
-    runner = particle_likelihood_runner(
-        family, config.sampler["n_particles"], scheme=config.sampler["scheme"]
+def _particle_runner(config: ExperimentConfig, setup: _Setup):
+    return particle_likelihood_runner(
+        setup.family, config.sampler["n_particles"], scheme=config.sampler["scheme"]
     )
+
+
+def _pmmh(config: ExperimentConfig, setup: _Setup, rng):
+    sampler = config.sampler
     trace, _ = run_pmmh(
-        prior,
-        proposal,
-        runner,
-        config.sampler["n_iterations"],
-        streams.stream("chain"),
-        n_burn=config.sampler["n_burn"],
+        setup.prior, setup.proposal, _particle_runner(config, setup),
+        sampler["n_iterations"], rng, n_burn=sampler["n_burn"],
     )
-    results = _chain_results(trace, config.sampler["n_burn"])
-    records = _thin(_chain_records(trace), config.sampler["thinning"])
-    files = {"trace": _write_jsonl(config, "trace.jsonl", records)}
-    return results, files
+    return trace
 
 
-def _drive_da(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
-    family = _build_lgssm_family(config, ys)
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
-    runner = particle_likelihood_runner(
-        family, config.sampler["n_particles"], scheme=config.sampler["scheme"]
-    )
+def _da(config: ExperimentConfig, setup: _Setup, rng):
+    sampler = config.sampler
     trace, _ = run_delayed_acceptance(
-        prior,
-        proposal,
-        KalmanLikelihood(family),
-        runner,
-        config.sampler["eps_reg"],
-        config.sampler["n_iterations"],
-        streams.stream("chain"),
-        n_burn=config.sampler["n_burn"],
+        setup.prior, setup.proposal, KalmanLikelihood(setup.family),
+        _particle_runner(config, setup), sampler["eps_reg"], sampler["n_iterations"],
+        rng, n_burn=sampler["n_burn"],
     )
+    return trace
+
+
+def _mcmc_is(config: ExperimentConfig, setup: _Setup, streams: KeyedStreams, n_workers):
+    sampler = config.sampler
+    return run_mcmc_is(
+        setup.prior,
+        setup.proposal,
+        KalmanLikelihood(setup.family),
+        ParticleSmootherRunner(
+            model_family=setup.family,
+            n_particles=sampler["n_particles"],
+            scheme=sampler["scheme"],
+        ),
+        sampler["eps_reg"],
+        sampler["n_iterations"],
+        streams,
+        (ParameterCoordinate(0),),
+        n_burn=sampler["n_burn"],
+        replicates=sampler["replicates"],
+        n_workers=n_workers,
+    )
+
+
+def _drive_pmmh(config, setup, streams, n_workers):
+    trace = _pmmh(config, setup, streams.stream("chain"))
     results = _chain_results(trace, config.sampler["n_burn"])
-    stage1 = np.array(
-        [math.exp(p["log_stage1"]) for p in trace.payloads], dtype=float
-    )
+    return results, {"trace": _write_trace(config, _chain_records(trace))}
+
+
+def _drive_da(config, setup, streams, n_workers):
+    trace = _da(config, setup, streams.stream("chain"))
+    results = _chain_results(trace, config.sampler["n_burn"])
+    stage1 = np.array([math.exp(p["log_stage1"]) for p in trace.payloads], dtype=float)
     # a prior-rejected proposal records log_stage2 = 0.0 but runs no filter
     stage2 = np.array(
         [
@@ -892,13 +752,9 @@ def _drive_da(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
         dtype=float,
     )
     results["mean_stage1_probability"] = float(stage1.mean())
-    results["mean_stage2_probability"] = (
-        float(stage2.mean()) if stage2.size else None
-    )
+    results["mean_stage2_probability"] = float(stage2.mean()) if stage2.size else None
     results["stage2_evaluations"] = int(stage2.size)
-    records = _thin(_chain_records(trace), config.sampler["thinning"])
-    files = {"trace": _write_jsonl(config, "trace.jsonl", records)}
-    return results, files
+    return results, {"trace": _write_trace(config, _chain_records(trace))}
 
 
 def _is_estimate_results(estimate) -> dict:
@@ -921,60 +777,21 @@ def _weighted_records(jump, samples):
         yield record
 
 
-def _drive_mcmc_is(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
-    family = _build_lgssm_family(config, ys)
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
-    result = run_mcmc_is(
-        prior,
-        proposal,
-        KalmanLikelihood(family),
-        ParticleSmootherRunner(
-            model_family=family,
-            n_particles=config.sampler["n_particles"],
-            scheme=config.sampler["scheme"],
-        ),
-        config.sampler["eps_reg"],
-        config.sampler["n_iterations"],
-        streams,
-        (ParameterCoordinate(0),),
-        n_burn=config.sampler["n_burn"],
-        replicates=config.sampler["replicates"],
-        n_workers=n_workers,
-    )
+def _drive_mcmc_is(config, setup, streams, n_workers):
+    result = _mcmc_is(config, setup, streams, n_workers)
     results = _is_estimate_results(result.estimate)
     results["n_jump_states"] = len(result.jump_chain)
-    records = _thin(
-        _weighted_records(result.jump_chain, result.samples),
-        config.sampler["thinning"],
-    )
-    files = {"trace": _write_jsonl(config, "trace.jsonl", records)}
-    return results, files
+    records = _weighted_records(result.jump_chain, result.samples)
+    return results, {"trace": _write_trace(config, records)}
 
 
-def _drive_mlmc_is(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
-    family = _build_diffusion_family(config, ys)
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
-    schedule = build_schedule(
-        rho=config.schedule["rho"],
-        n_base=config.schedule["n_base"],
-        variant=config.schedule["variant"],
-        eta=config.schedule["eta"],
-    )
+def _drive_mlmc_is(config, setup, streams, n_workers):
+    schedule = build_schedule(**config.schedule)
+    sampler = config.sampler
     result = run_mlmc_is(
-        prior,
-        proposal,
-        family,
-        schedule,
-        config.sampler["eps_reg"],
-        config.sampler["n_iterations"],
-        streams,
-        (ParameterCoordinate(0),),
-        n_burn=config.sampler["n_burn"],
-        n_workers=n_workers,
+        setup.prior, setup.proposal, setup.family, schedule, sampler["eps_reg"],
+        sampler["n_iterations"], streams, (ParameterCoordinate(0),),
+        n_burn=sampler["n_burn"], n_workers=n_workers,
         substep_guard=config.guard["substeps"],
     )
     results = _is_estimate_results(result.estimate)
@@ -996,15 +813,10 @@ def _drive_mlmc_is(config: ExperimentConfig, streams: KeyedStreams, n_workers: i
             yield record
 
     files = {"trace": _write_jsonl(config, "trace.jsonl", merged_records())}
-
     level_rows = []
-    for level, count in zip(unique_levels, counts):
-        run_cost = (
-            schedule.particle_count(int(level))
-            * family.n_intervals
-            * (2 ** int(level) + 2 ** (int(level) - 1))
-        )
-        level_rows.append((int(level), int(count), float(run_cost * int(count))))
+    for level, count in zip(unique_levels.tolist(), counts.tolist()):
+        run_cost = particle_substeps(schedule, level, setup.family.n_intervals)
+        level_rows.append((level, count, float(run_cost * count)))
     files["levels"] = _write_csv(
         config, "levels.csv", ("level", "count", "total_cost"), level_rows
     )
@@ -1012,7 +824,7 @@ def _drive_mlmc_is(config: ExperimentConfig, streams: KeyedStreams, n_workers: i
 
 
 def _abc_common(config, trace, epsilon: float) -> tuple[dict, dict]:
-    f = CoordinateFunction(0)
+    f = ParameterCoordinate(0)
     results = {
         "epsilon_chain": trace.epsilon0,
         "epsilon": epsilon,
@@ -1045,47 +857,35 @@ def _abc_common(config, trace, epsilon: float) -> tuple[dict, dict]:
     return results, files
 
 
-def _drive_abc_mcmc(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    model = GaussianLocationAbc(
-        sigma=config.model["sigma"], y_star=config.model["y_star"]
-    )
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
+def _drive_abc_mcmc(config, setup, streams, n_workers):
     trace = run_abc_mcmc(
-        model,
+        setup.family,
         config.sampler["epsilon0"],
-        prior,
-        proposal,
+        setup.prior,
+        setup.proposal,
         config.sampler["n_iterations"],
         streams.stream("abc"),
     )
     epsilon = config.sampler.get("epsilon_post", trace.epsilon0)
     results, files = _abc_common(config, trace, epsilon)
-    files["trace"] = _write_jsonl(
-        config, "trace.jsonl", _thin(trace.to_records(), config.sampler["thinning"])
-    )
+    files["trace"] = _write_trace(config, trace.to_records())
     return results, files
 
 
-def _drive_abc_adaptive(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    model = GaussianLocationAbc(
-        sigma=config.model["sigma"], y_star=config.model["y_star"]
-    )
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
+def _drive_abc_adaptive(config, setup, streams, n_workers):
     adapted = run_tolerance_adaptation(
-        model,
-        prior,
-        proposal,
+        setup.family,
+        setup.prior,
+        setup.proposal,
         config.sampler["n_burn"],
         streams.stream("adapt"),
         alpha_target=config.sampler["alpha_target"],
         eps_init=config.sampler.get("epsilon0"),
     )
     trace = run_abc_mcmc(
-        model,
+        setup.family,
         adapted.epsilon,
-        prior,
+        setup.prior,
         adapted.proposal,
         config.sampler["n_iterations"],
         streams.stream("abc"),
@@ -1113,9 +913,7 @@ def _drive_abc_adaptive(config: ExperimentConfig, streams: KeyedStreams, n_worke
             )
         ),
     )
-    files["trace"] = _write_jsonl(
-        config, "trace.jsonl", _thin(trace.to_records(), config.sampler["thinning"])
-    )
+    files["trace"] = _write_trace(config, trace.to_records())
     return results, files
 
 
@@ -1130,43 +928,12 @@ def _is_residual_series(result) -> np.ndarray:
     return np.repeat(residuals, multiplicities)
 
 
-def _drive_compare(config: ExperimentConfig, streams: KeyedStreams, n_workers: int):
-    ys = _load_observations(config, streams)
-    family = _build_lgssm_family(config, ys)
-    prior = _build_prior(config)
-    proposal = _build_proposal(config, prior.dim)
-    sampler = config.sampler
-    runner = particle_likelihood_runner(
-        family, sampler["n_particles"], scheme=sampler["scheme"]
-    )
+def _drive_compare(config, setup, streams, n_workers):
+    pmmh_trace = _pmmh(config, setup, streams.stream("pmmh"))
+    da_trace = _da(config, setup, streams.stream("da"))
+    is_result = _mcmc_is(config, setup, streams.scoped("mcmc_is"), n_workers)
 
-    pmmh_trace, _ = run_pmmh(
-        prior, proposal, runner, sampler["n_iterations"],
-        streams.stream("pmmh"), n_burn=sampler["n_burn"],
-    )
-    da_trace, _ = run_delayed_acceptance(
-        prior, proposal, KalmanLikelihood(family), runner, sampler["eps_reg"],
-        sampler["n_iterations"], streams.stream("da"), n_burn=sampler["n_burn"],
-    )
-    is_result = run_mcmc_is(
-        prior,
-        proposal,
-        KalmanLikelihood(family),
-        ParticleSmootherRunner(
-            model_family=family,
-            n_particles=sampler["n_particles"],
-            scheme=sampler["scheme"],
-        ),
-        sampler["eps_reg"],
-        sampler["n_iterations"],
-        streams.scoped("mcmc_is"),
-        (ParameterCoordinate(0),),
-        n_burn=sampler["n_burn"],
-        replicates=sampler["replicates"],
-        n_workers=n_workers,
-    )
-
-    n_burn = sampler["n_burn"]
+    n_burn = config.sampler["n_burn"]
     series = {
         "pmmh": [pmmh_trace.thetas[n_burn:, 0]],
         "da": [da_trace.thetas[n_burn:, 0]],
@@ -1180,23 +947,11 @@ def _drive_compare(config: ExperimentConfig, streams: KeyedStreams, n_workers: i
         "mcmc_is": _is_estimate_results(is_result.estimate),
     }
     rows = [
-        (
-            name,
-            row["asvar_mean"],
-            row["asvar_se"],
-            row["iact_mean"],
-            row["n_series"],
-        )
+        (name, row["asvar_mean"], row["asvar_se"], row["iact_mean"], row["n_series"])
         for name, row in sorted(report["series"].items())
     ]
-    files = {
-        "comparison": _write_csv(
-            config,
-            "comparison.csv",
-            ("sampler", "asvar", "asvar_se", "iact", "n_series"),
-            rows,
-        )
-    }
+    header = ("sampler", "asvar", "asvar_se", "iact", "n_series")
+    files = {"comparison": _write_csv(config, "comparison.csv", header, rows)}
     print(format_comparison(report))
     return results, files
 
@@ -1225,19 +980,16 @@ def _derived_lines(config: ExperimentConfig) -> list[str]:
     ]
     model = config.model
     if "simulate" in model:
+        n_observations = model["simulate"]
         lines.append(
-            f"observations     {model['simulate']} simulated "
-            f"(horizon n={model['simulate'] - 1})"
+            f"observations     {n_observations} simulated "
+            f"(horizon n={n_observations - 1})"
         )
     elif "observations" in model:
+        n_observations = _read_observations(config).size
         lines.append(f"observations     file {model['observations']}")
     if config.algorithm == "mlmc-is":
-        schedule = build_schedule(
-            rho=config.schedule["rho"],
-            n_base=config.schedule["n_base"],
-            variant=config.schedule["variant"],
-            eta=config.schedule["eta"],
-        )
+        schedule = build_schedule(**config.schedule)
         head = range(1, 9)
         pmf = ", ".join(f"{float(schedule.pmf(level)):.4g}" for level in head)
         particles = ", ".join(str(schedule.particle_count(level)) for level in head)
@@ -1246,17 +998,13 @@ def _derived_lines(config: ExperimentConfig) -> list[str]:
         lines.append(f"particle counts  {particles}")
         lines.append(f"substeps/window  {substeps}")
         guard = config.guard["substeps"]
-        level, admissible = 1, 0
-        while level < 64:
-            required = (
-                schedule.particle_count(level) * (2**level + 2 ** (level - 1))
-            )
-            if required > guard:
-                break
-            admissible = level
-            level += 1
+        admissible = 0
+        while admissible < 63 and (
+            particle_substeps(schedule, admissible + 1, n_observations - 1) <= guard
+        ):
+            admissible += 1
         lines.append(
-            f"guard            {guard} particle-substeps per observation window "
+            f"guard            {guard} particle-substeps per run "
             f"(levels 1..{admissible} admissible)"
         )
     return lines
@@ -1288,7 +1036,8 @@ def run_experiment(
     streams = KeyedStreams(config.seed)
     started = time.perf_counter()
     try:
-        results, files = _DRIVERS[config.algorithm](config, streams, n_workers)
+        setup = _set_up(config, streams)
+        results, files = _DRIVERS[config.algorithm](config, setup, streams, n_workers)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
@@ -1311,11 +1060,12 @@ def validate_config(config_path) -> int:
     """Parse and validate without executing; prints a derived-value table."""
     try:
         config = load_config(config_path)
+        lines = _derived_lines(config)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print("OK")
-    for line in _derived_lines(config):
+    for line in lines:
         print(line)
     return 0
 
@@ -1327,24 +1077,19 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="execute an experiment config")
-    run_parser.add_argument("config", help="path to the experiment config file")
-    run_parser.add_argument("--output-dir", help="override the output directory")
-    run_parser.add_argument(
-        "--workers", type=int, help="worker process count (overrides config and env)"
-    )
-
-    validate_parser = sub.add_parser("validate", help="check a config without running")
-    validate_parser.add_argument("config", help="path to the experiment config file")
-
-    compare_parser = sub.add_parser(
-        "compare", help="run the sampler comparison on a config"
-    )
-    compare_parser.add_argument("config", help="path to the experiment config file")
-    compare_parser.add_argument("--output-dir", help="override the output directory")
-    compare_parser.add_argument(
-        "--workers", type=int, help="worker process count (overrides config and env)"
-    )
+    commands = {
+        "run": "execute an experiment config",
+        "validate": "check a config without running",
+        "compare": "run the sampler comparison on a config",
+    }
+    for name, text in commands.items():
+        command = sub.add_parser(name, help=text)
+        command.add_argument("config", help="path to the experiment config file")
+        if name != "validate":
+            command.add_argument("--output-dir", help="override the output directory")
+            command.add_argument(
+                "--workers", type=int, help="worker process count (overrides config and env)"
+            )
 
     args = parser.parse_args(argv)
     if args.command == "validate":

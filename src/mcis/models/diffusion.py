@@ -146,7 +146,6 @@ class EulerDiffusionModel(FeynmanKacModel):
     obs_var: float = 1.0
     ys: np.ndarray = None
     n: int = field(default=0)
-    path_dependent: bool = field(default=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ys", np.asarray(self.ys, float))
@@ -208,7 +207,6 @@ class CoupledEulerModel(FeynmanKacModel):
     fine: EulerDiffusionModel = None
     coarse: EulerDiffusionModel = None
     n: int = field(default=0)
-    path_dependent: bool = field(default=False)
 
     def __post_init__(self):
         if self.fine.level < 1:

@@ -26,15 +26,12 @@ class FeynmanKacModel:
     ----------
     n : int
         Horizon; potentials are evaluated at steps ``0 .. n``.
-    path_dependent : bool
-        If False (the default for state-space models), transitions and
-        potentials read only the current states and receive an array of
-        shape ``(N, ...)``.  If True, they receive the full gathered
-        history ``(p, N, ...)`` / ``(p+1, N, ...)`` instead.
+
+    Transitions and potentials read only the current states, an array
+    of shape ``(N, ...)``.
     """
 
     n: int = 0
-    path_dependent: bool = False
 
     def sample_initial(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` initial states."""

@@ -253,7 +253,6 @@ class _ScalarLgssmFK(FeynmanKacModel):
     init_sd: float = 1.0
     ys: tuple = ()
     n: int = field(default=0)
-    path_dependent: bool = field(default=False)
 
     def sample_initial(self, size, rng):
         return self.init_mean + self.init_sd * rng.standard_normal(size)
@@ -281,7 +280,6 @@ class _VectorLgssmFK(FeynmanKacModel):
     init_chol: np.ndarray = None
     ys: np.ndarray = None
     n: int = field(default=0)
-    path_dependent: bool = field(default=False)
 
     def sample_initial(self, size, rng):
         noise = rng.standard_normal((size, self.init_mean.size))

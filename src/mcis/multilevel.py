@@ -44,6 +44,7 @@ __all__ = [
     "LevelSchedule",
     "build_schedule",
     "sample_level",
+    "particle_substeps",
     "RandomizedEstimate",
     "randomized_smoother_estimate",
     "CostLedger",
@@ -168,12 +169,16 @@ def sample_level(
     return int(out[0]) if size is None else out
 
 
+def particle_substeps(schedule: LevelSchedule, level: int, n_intervals: int) -> int:
+    """Work of one coupled run at ``level`` over ``n_intervals``
+    observation intervals: each of the schedule's particles advances the
+    fine path ``2**level`` and the coarse path ``2**(level - 1)``
+    substeps per interval."""
+    return schedule.particle_count(level) * n_intervals * (2**level + 2 ** (level - 1))
+
+
 def _check_guard(schedule, level, n_intervals, guard):
-    required = (
-        schedule.particle_count(level)
-        * n_intervals
-        * (2**level + 2 ** (level - 1))
-    )
+    required = particle_substeps(schedule, level, n_intervals)
     if required > guard:
         raise ResourceGuardError(
             f"sampled level {level} needs {required} particle-substeps, "

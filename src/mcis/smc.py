@@ -158,21 +158,6 @@ class ParticleCloud:
             paths[p] = self.states[p][index]
         return np.stack(paths)
 
-    def to_summary(self) -> dict:
-        """JSON-safe digest for debugging."""
-        weights = self.final_weights
-        total = weights.sum()
-        ess = float(total * total / np.sum(weights * weights)) if total > 0 else 0.0
-        final = np.asarray(self.final_states, float)
-        return {
-            "n_particles": int(self.n_particles),
-            "horizon": int(self.horizon),
-            "log_normalizer": float(self.log_normalizer),
-            "ess_final": ess,
-            "final_state_mean": np.mean(final, axis=0).tolist(),
-            "final_state_sd": np.std(final, axis=0).tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SmootherEstimate:
@@ -264,15 +249,10 @@ def run_particle_filter(
 
     states = []
     ancestors = []
-    history = None  # gathered full history, only for path-dependent models
 
     x = model.sample_initial(n_particles, rng)
     states.append(x)
-    if model.path_dependent:
-        history = [x]
-    log_pot = np.asarray(
-        model.log_potential(0, _model_view(history, x, model)), float
-    )
+    log_pot = np.asarray(model.log_potential(0, x), float)
     _check_potentials(log_pot, 0)
     log_weights = log_pot - log_count
     weights, log_total = _materialize(log_weights)
@@ -283,17 +263,9 @@ def run_particle_filter(
         else:
             parents = np.arange(n_particles)  # collapsed: weights stay zero
         ancestors.append(parents)
-        x_parent = x[parents]
-        if model.path_dependent:
-            history = [h[parents] for h in history]
-            x = model.sample_transition(p, np.stack(history), rng)
-            history.append(x)
-        else:
-            x = model.sample_transition(p, x_parent, rng)
+        x = model.sample_transition(p, x[parents], rng)
         states.append(x)
-        log_pot = np.asarray(
-            model.log_potential(p, _model_view(history, x, model)), float
-        )
+        log_pot = np.asarray(model.log_potential(p, x), float)
         _check_potentials(log_pot, p)
         log_weights = (log_total - log_count) + log_pot
         weights, log_total = _materialize(log_weights)
@@ -307,12 +279,6 @@ def run_particle_filter(
     )
     estimate = _evaluate_functionals(cloud, test_functions)
     return cloud, estimate
-
-
-def _model_view(history, x, model):
-    if model.path_dependent:
-        return np.stack(history)
-    return x
 
 
 def _evaluate_functionals(cloud: ParticleCloud, test_functions) -> SmootherEstimate:

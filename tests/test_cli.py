@@ -8,6 +8,7 @@ the statistics, which the algorithm test modules cover.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import json
 import math
@@ -281,6 +282,207 @@ def test_seed_is_mandatory(tmp_path):
         load_config(path)
 
 
+def _sections(text: str) -> dict:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _edited(text: str, edits: dict) -> str:
+    """``text`` with ``{"section.key": value}`` applied; ``None`` deletes
+    the key, and a bare section name with ``None`` deletes the section."""
+    sections = _sections(text)
+    for where, value in edits.items():
+        section, _, key = where.partition(".")
+        if not key:
+            del sections[section]
+        elif value is None:
+            sections[section].pop(key, None)
+        else:
+            sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        for name, values in sections.items()
+    )
+
+
+_GAUSSIAN_PRIOR = {
+    "prior.low": None, "prior.high": None, "prior.kind": "gaussian",
+    "prior.mean": "0.5", "prior.sd": "0.2",
+}
+
+# one single-fault config per distinct message load_config raises, with
+# the message in full
+_CONFIG_FAULTS = [
+    ("int", _PF_CONFIG, {"experiment.seed": "soon"},
+     "field experiment.seed: expected an integer, got 'soon'"),
+    ("float", _PF_CONFIG, {"model.transition": "fast"},
+     "field model.transition: expected a number, got 'fast'"),
+    ("vector", _MLMC_CONFIG, {"prior.low": "a, b"},
+     "field prior.low: expected numbers, got 'a, b'"),
+    ("section", _PF_CONFIG, {"extra.x": "1"}, "unknown section [extra]"),
+    ("field", _PF_CONFIG, {"sampler.typo": "3"}, "unknown field sampler.typo"),
+    ("no-experiment", _PF_CONFIG, {"experiment": None},
+     "missing required section [experiment]"),
+    ("no-algorithm", _PF_CONFIG, {"experiment.algorithm": None},
+     "missing required field experiment.algorithm"),
+    ("algorithm", _PF_CONFIG, {"experiment.algorithm": "annealing"},
+     "field experiment.algorithm: unknown algorithm 'annealing'; choose one of "
+     "pf, pmmh, da, mcmc-is, mlmc-is, abc-mcmc, abc-adaptive, compare"),
+    ("no-seed", _PF_CONFIG, {"experiment.seed": None},
+     "missing required field experiment.seed"),
+    ("seed-negative", _PF_CONFIG, {"experiment.seed": "-1"},
+     "field experiment.seed: must fit in 64 bits"),
+    ("seed-wide", _PF_CONFIG, {"experiment.seed": str(2**64)},
+     "field experiment.seed: must fit in 64 bits"),
+    ("workers", _PF_CONFIG, {"experiment.workers": "0"},
+     "field experiment.workers: must be >= 1"),
+    ("no-family", _PF_CONFIG, {"model.family": None},
+     "missing required field model.family"),
+    ("family", _PF_CONFIG, {"model.family": "arma"},
+     "field model.family: unknown family 'arma'; choose one of gaussian, lgssm, ou"),
+    ("family-field", _PF_CONFIG, {"model.drift": "-0.5"},
+     "field model.drift is not used by family 'lgssm'"),
+    ("two-sources", _PF_CONFIG, {"model.observations": "ys.txt"},
+     "model: give exactly one of model.observations (a file) or model.simulate "
+     "(a count)"),
+    ("no-source", _MLMC_CONFIG, {"model.simulate": None},
+     "model: give exactly one of model.observations (a file) or model.simulate "
+     "(a count)"),
+    ("simulate", _PF_CONFIG, {"model.simulate": "1"},
+     "field model.simulate: must be >= 2"),
+    ("no-transition", _PF_CONFIG, {"model.transition": None},
+     "missing required field model.transition"),
+    ("no-transition-noise", _PF_CONFIG, {"model.transition_noise": None},
+     "missing required field model.transition_noise"),
+    ("transition-noise", _PF_CONFIG, {"model.transition_noise": "-0.1"},
+     "field model.transition_noise: must be >= 0"),
+    ("observation-noise", _PF_CONFIG, {"model.observation_noise": "0"},
+     "field model.observation_noise: must be > 0"),
+    ("initial-variance", _PF_CONFIG, {"model.initial_variance": "-1"},
+     "field model.initial_variance: must be >= 0"),
+    ("no-drift", _MLMC_CONFIG, {"model.drift": None},
+     "missing required field model.drift"),
+    ("no-sigma", _MLMC_CONFIG, {"model.sigma": None},
+     "missing required field model.sigma"),
+    ("sigma-ou", _MLMC_CONFIG, {"model.sigma": "0"}, "field model.sigma: must be > 0"),
+    ("interval", _MLMC_CONFIG, {"model.interval": "0"},
+     "field model.interval: must be > 0"),
+    ("init-sd", _MLMC_CONFIG, {"model.init_sd": "-1"},
+     "field model.init_sd: must be >= 0"),
+    ("obs-var", _MLMC_CONFIG, {"model.obs_var": "0"},
+     "field model.obs_var: must be > 0"),
+    ("level", _MLMC_CONFIG, {"experiment.algorithm": "pf", "schedule": None,
+                             "sampler.n_particles": "8", "model.level": "-1"},
+     "field model.level: must be >= 0"),
+    ("no-y-star", _ABC_CONFIG, {"model.y_star": None},
+     "missing required field model.y_star"),
+    ("sigma-gaussian", _ABC_CONFIG, {"model.sigma": "-1"},
+     "field model.sigma: must be > 0"),
+    ("thinning", _PF_CONFIG, {"sampler.thinning": "0"},
+     "field sampler.thinning: must be >= 1"),
+    ("replicates", _mcmc_is_config(), {"sampler.replicates": "0"},
+     "field sampler.replicates: must be >= 1"),
+    ("eps-reg", _mcmc_is_config(), {"sampler.eps_reg": "-1e-3"},
+     "field sampler.eps_reg: must be >= 0"),
+    ("beta", _ABC_CONFIG, {"sampler.beta": "0"}, "field sampler.beta: must be > 0"),
+    ("alpha-target-high", _ABC_ADAPTIVE_CONFIG, {"sampler.alpha_target": "1"},
+     "field sampler.alpha_target: must lie in (0, 1)"),
+    ("alpha-target-low", _ABC_ADAPTIVE_CONFIG, {"sampler.alpha_target": "0"},
+     "field sampler.alpha_target: must lie in (0, 1)"),
+    ("proposal-sd", _mcmc_is_config(), {"sampler.proposal_sd": "0"},
+     "field sampler.proposal_sd: must be > 0"),
+    ("scheme", _PF_CONFIG, {"sampler.scheme": "bogus"},
+     "field sampler.scheme: unknown scheme 'bogus'; choose one of multinomial, "
+     "stratified, residual, systematic"),
+    ("no-particles", _mcmc_is_config(), {"sampler.n_particles": None},
+     "missing required field sampler.n_particles"),
+    ("particles", _PF_CONFIG, {"sampler.n_particles": "0"},
+     "field sampler.n_particles: must be >= 1"),
+    ("no-iterations", _mcmc_is_config(), {"sampler.n_iterations": None},
+     "missing required field sampler.n_iterations"),
+    ("iterations", _ABC_CONFIG, {"sampler.n_iterations": "0"},
+     "field sampler.n_iterations: must be >= 1"),
+    ("burn", _mcmc_is_config(), {"sampler.n_burn": "-1"},
+     "field sampler.n_burn: must be >= 0"),
+    ("post-burn-in", _mcmc_is_config(), {"sampler.n_burn": "111"},
+     "sampler: need at least 10 post-burn-in iterations"),
+    ("eps-reg-mlmc", _MLMC_CONFIG, {"sampler.eps_reg": "0"},
+     "field sampler.eps_reg: must be > 0 for mlmc-is (the level-0 normalizer can "
+     "vanish)"),
+    ("no-epsilon0", _ABC_CONFIG, {"sampler.epsilon0": None},
+     "missing required field sampler.epsilon0"),
+    ("epsilon0", _ABC_CONFIG, {"sampler.epsilon0": "0"},
+     "field sampler.epsilon0: must be > 0"),
+    ("epsilon0-adaptive", _ABC_ADAPTIVE_CONFIG, {"sampler.epsilon0": "-1"},
+     "field sampler.epsilon0: must be > 0"),
+    ("adaptation", _ABC_ADAPTIVE_CONFIG, {"sampler.n_burn": "0"},
+     "field sampler.n_burn: the adaptation phase needs >= 1 iterations"),
+    ("epsilon-post", _ABC_CONFIG, {"sampler.epsilon_post": "0"},
+     "field sampler.epsilon_post: must be > 0"),
+    ("pairing", _mcmc_is_config(), {"experiment.algorithm": "mlmc-is"},
+     "model.family 'lgssm' is not supported by algorithm 'mlmc-is' (expected ou)"),
+    ("no-kind", _mcmc_is_config(), {"prior.kind": None},
+     "missing required field prior.kind"),
+    ("kind", _mcmc_is_config(), {"prior.kind": "cauchy"},
+     "field prior.kind: unknown kind 'cauchy'; choose uniform or gaussian"),
+    ("no-low", _mcmc_is_config(), {"prior.low": None}, "missing required field prior.low"),
+    ("no-high", _mcmc_is_config(), {"prior.high": None},
+     "missing required field prior.high"),
+    ("low-high", _mcmc_is_config(), {"prior.high": "0.0"},
+     "prior: low must be componentwise below high"),
+    ("no-mean", _mcmc_is_config(), {**_GAUSSIAN_PRIOR, "prior.mean": None},
+     "missing required field prior.mean"),
+    ("no-sd", _mcmc_is_config(), {**_GAUSSIAN_PRIOR, "prior.sd": None},
+     "missing required field prior.sd"),
+    ("sd", _mcmc_is_config(), {**_GAUSSIAN_PRIOR, "prior.sd": "0.2, 0.2"},
+     "prior: sd must be positive (scalar or one per mean)"),
+    ("no-rho", _MLMC_CONFIG, {"schedule.rho": None},
+     "missing required field schedule.rho"),
+    ("rho", _MLMC_CONFIG, {"schedule.rho": "-0.5"},
+     "field schedule.rho: -0.5 outside the allowed range [0, 1]"),
+    ("no-n-base", _MLMC_CONFIG, {"schedule.n_base": None},
+     "missing required field schedule.n_base"),
+    ("n-base", _MLMC_CONFIG, {"schedule.n_base": "0"},
+     "field schedule.n_base: must be >= 1"),
+    ("variant", _MLMC_CONFIG, {"schedule.variant": "harmonic"},
+     "field schedule.variant: unknown variant 'harmonic'; choose plain or log_factor"),
+    ("eta", _MLMC_CONFIG, {"schedule.variant": "log_factor", "schedule.eta": "0.5"},
+     "field schedule.eta: must exceed 1 for the log_factor variant"),
+    ("schedule", _ABC_CONFIG, {"schedule.rho": "0.5"},
+     "section [schedule] is only used by algorithm mlmc-is"),
+    ("guard", _MLMC_CONFIG, {"guard.substeps": "0"},
+     "field guard.substeps: must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edits, message",
+    [case[1:] for case in _CONFIG_FAULTS],
+    ids=[case[0] for case in _CONFIG_FAULTS],
+)
+def test_every_config_error_message(tmp_path, base, edits, message):
+    path = _write(tmp_path, _edited(base, edits))
+    assert _sections(base) != _sections(path.read_text())
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == message
+
+
+def test_unreadable_config_files(tmp_path):
+    with pytest.raises(ConfigError, match=r"^cannot read config file .*nowhere\.ini: "):
+        load_config(tmp_path / "nowhere.ini")
+    with pytest.raises(ConfigError, match=r"^cannot parse config: "):
+        load_config(_write(tmp_path, "seed = 1\n[experiment]\n"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n  oops\n}", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert str(excinfo.value) == (
+        "invalid JSON config (line 2): Expecting property name enclosed in double quotes"
+    )
+
+
 def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", str(_write(tmp_path, _MLMC_CONFIG))]) == 0
     out = capsys.readouterr().out
@@ -291,6 +493,102 @@ def test_validate_subcommand(tmp_path, capsys):
     bad = _write(tmp_path, _MLMC_CONFIG.replace("rho = 1.0", "rho = 2.0"), "bad.ini")
     assert validate_config(bad) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"model.transition": "nan"}, "field model.transition: must be finite, got 'nan'"),
+        ({"model.transition_noise": "inf"},
+         "field model.transition_noise: must be finite, got 'inf'"),
+        ({"prior.low": "-inf"}, "field prior.low: must be finite, got '-inf'"),
+        ({"sampler.eps_reg": "-Infinity"},
+         "field sampler.eps_reg: must be finite, got '-Infinity'"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edits, message):
+    path = _write(tmp_path, _edited(_mcmc_is_config(), edits))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}\n") == 2
+
+
+def test_validate_reports_guard_headroom_per_run(tmp_path, capsys):
+    # 101 observations: a level-l run advances its particles over 100
+    # intervals, so level 4 needs 16 * 4 * 100 * (16 + 8) = 153,600
+    # particle-substeps, over the guard, although one interval fits
+    edits = {"model.simulate": "101", "schedule.rho": "0.5", "schedule.n_base": "16",
+             "guard.substeps": "100000"}
+    path = _write(tmp_path, _edited(_MLMC_CONFIG, edits))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "guard            100000 particle-substeps per run (levels 1..3 admissible)" in out
+    from mcis.multilevel import build_schedule, particle_substeps
+
+    schedule = build_schedule(rho=0.5, n_base=16)
+    assert particle_substeps(schedule, 3, 100) <= 100_000 < particle_substeps(schedule, 4, 100)
+
+
+def test_validate_reads_the_observation_file(tmp_path, capsys):
+    text = _MLMC_CONFIG.replace("simulate = 5", "observations = ys.txt")
+    path = _write(tmp_path, text)
+    assert validate_config(path) == 2
+    assert "field model.observations: cannot read" in capsys.readouterr().err
+
+    (tmp_path / "ys.txt").write_text("0.5\nfast\n")
+    assert validate_config(path) == 2
+    assert run_experiment(path) == 2
+    assert capsys.readouterr().err.count("field model.observations: cannot read") == 2
+
+    (tmp_path / "ys.txt").write_text("0.5\n")
+    assert validate_config(path) == 2
+    assert "one column with >= 2 values" in capsys.readouterr().err
+
+    (tmp_path / "ys.txt").write_text("0.5\nnan\n")
+    assert validate_config(path) == 2
+    assert run_experiment(path) == 2
+    assert capsys.readouterr().err.count("holds a non-finite value") == 2
+
+    (tmp_path / "ys.txt").write_text("0.5\n-0.3\n1.1\n")
+    guarded = _write(tmp_path, text + "\n[guard]\nsubsteps = 100\n", "g.ini")
+    assert validate_config(guarded) == 0
+    # rho = 1, n_base = 8: level 1 needs 16 particles * 2 intervals * 3 = 96
+    assert "(levels 1..1 admissible)" in capsys.readouterr().out
+
+
+def _readme() -> str:
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_quick_start_validates(tmp_path, capsys):
+    quick_start = _readme().split("## Quick start", 1)[1]
+    block = quick_start.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert validate_config(_write(tmp_path, block)) == 0
+    assert capsys.readouterr().out.startswith("OK")
+
+
+def _reference_row(field) -> str:
+    from mcis.cli import ALGORITHM_FAMILIES
+
+    kind = {int: "integer", float: "number", tuple: "numbers", str: "text"}[field.kind]
+    if field.required:
+        default = "required"
+    else:
+        default = "" if field.default is None else f"`{field.default}`"
+    allowed = str(field.range) if field.range else ", ".join(field.choices)
+    scope = field.families or field.algorithms or ("all",)
+    others = [name for name in ALGORITHM_FAMILIES if name not in scope]
+    scope = f"all but {others[0]}" if len(others) == 1 else ", ".join(scope)
+    return f"| {field.section} | `{field.key}` | {kind} | {default} | {allowed} | {scope} |"
+
+
+def test_readme_reference_lists_every_field():
+    from mcis.cli import FIELDS
+
+    lines = set(_readme().splitlines())
+    missing = [row for row in map(_reference_row, FIELDS) if row not in lines]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------

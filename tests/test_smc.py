@@ -222,30 +222,6 @@ def test_nan_potential_raises():
         run_particle_filter(_NanPotentialModel(), 8, rng=substream(10, "nan"))
 
 
-class _PathSumModel(FeynmanKacModel):
-    """Path-dependent model: both the transition and the potential read
-    the gathered history rather than the current state."""
-
-    n = 3
-    path_dependent = True
-
-    def sample_initial(self, size, rng):
-        return rng.standard_normal(size)
-
-    def sample_transition(self, p, history, rng):
-        return history.sum(axis=0) + rng.standard_normal(history.shape[1])
-
-    def log_potential(self, p, history):
-        assert history.shape[0] == p + 1
-        return np.zeros(history.shape[1])
-
-
-def test_path_dependent_model_runs_with_unit_normalizer():
-    cloud, est = run_particle_filter(_PathSumModel(), 12, rng=substream(11, "pathdep"))
-    assert est.normalizer == 1.0
-    assert cloud.trajectories().shape == (4, 12)
-
-
 def test_particle_count_validation():
     with pytest.raises(ParameterError):
         run_particle_filter(UnitPotentialModel(), 0, rng=substream(0, "z"))
