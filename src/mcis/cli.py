@@ -444,17 +444,17 @@ def load_config(path, algorithm_override: str | None = None) -> ExperimentConfig
 @dataclass(frozen=True)
 class ParameterCoordinate:
     """Test function returning one parameter coordinate; chain test
-    functions also receive the paths, which it ignores."""
+    functions also receive the final states, which it ignores."""
 
     index: int = 0
 
-    def __call__(self, theta, paths=None) -> float:
+    def __call__(self, theta, states=None) -> float:
         return float(np.atleast_1d(theta)[self.index])
 
 
-def final_state(paths):
-    """Path functional: the state at the final time step."""
-    return paths[-1]
+def final_state(states):
+    """Test function of the final states: the states themselves."""
+    return states
 
 
 def _read_observations(config: ExperimentConfig) -> np.ndarray:
@@ -604,12 +604,6 @@ def _write_timing(config: ExperimentConfig, seconds: float, workers: int):
     _write_text(config.output_dir / "timing.json", text)
 
 
-def _write_jsonl(config: ExperimentConfig, name: str, records) -> str:
-    lines = [json.dumps(_jsonable(rec), sort_keys=True) for rec in records]
-    _write_text(config.output_dir / name, "\n".join(lines) + ("\n" if lines else ""))
-    return name
-
-
 def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -625,8 +619,11 @@ def _write_csv(config: ExperimentConfig, name: str, header, rows) -> str:
 
 def _write_trace(config: ExperimentConfig, records) -> str:
     """Write every ``sampler.thinning``-th record to ``trace.jsonl``."""
-    stride = config.sampler["thinning"]
-    return _write_jsonl(config, "trace.jsonl", islice(records, 0, None, stride))
+    kept = islice(records, 0, None, config.sampler["thinning"])
+    lines = [json.dumps(_jsonable(rec), sort_keys=True) for rec in kept]
+    text = "\n".join(lines) + ("\n" if lines else "")
+    _write_text(config.output_dir / "trace.jsonl", text)
+    return "trace.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +657,7 @@ def _drive_pf(config, setup, streams, n_workers):
         {"p": p, "state_mean": float(np.mean(states))}
         for p, states in enumerate(cloud.states)
     )
-    files = {"trace": _write_jsonl(config, "trace.jsonl", records)}
-    return results, files
+    return results, {"trace": _write_trace(config, records)}
 
 
 def _chain_results(trace, n_burn: int) -> dict:
@@ -812,7 +808,7 @@ def _drive_mlmc_is(config, setup, streams, n_workers):
             record.update(extras)
             yield record
 
-    files = {"trace": _write_jsonl(config, "trace.jsonl", merged_records())}
+    files = {"trace": _write_trace(config, merged_records())}
     level_rows = []
     for level, count in zip(unique_levels.tolist(), counts.tolist()):
         run_cost = particle_substeps(schedule, level, setup.family.n_intervals)

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-def constant_one(theta, paths) -> float:
+def constant_one(theta, states) -> float:
     """The unit test function; its weight is the likelihood ratio."""
     return 1.0
 
@@ -119,7 +119,7 @@ class ParticleSmootherRunner:
 
     ``model_family(theta)`` builds the exact Feynman-Kac model;
     calling the runner returns the smoother estimate at ``theta`` for
-    the given test functions (callables of ``(theta, paths)``).
+    the given test functions (callables of ``(theta, final states)``).
     """
 
     model_family: Callable
@@ -143,8 +143,8 @@ class _BoundFunction:
     func: Callable
     theta: np.ndarray
 
-    def __call__(self, paths):
-        return self.func(self.theta, paths)
+    def __call__(self, states):
+        return self.func(self.theta, states)
 
 
 # ---------------------------------------------------------------------------

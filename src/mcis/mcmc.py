@@ -374,14 +374,15 @@ def particle_likelihood_runner(
     ``theta``.  The returned callable maps ``(theta, rng)`` to a
     `LikelihoodEvaluation` whose payload is the smoother estimate and
     whose functional is the self-normalized value of ``test_function``
-    (a callable of ``(theta, paths)`` returning per-particle values).
+    (a callable of ``(theta, final states)`` returning per-particle
+    values).
     """
 
     def runner(theta, rng) -> LikelihoodEvaluation:
         model = model_family(theta)
         funcs = []
         if test_function is not None:
-            funcs = [lambda paths: test_function(theta, paths)]
+            funcs = [lambda states: test_function(theta, states)]
         _, estimate = run_particle_filter(
             model, n_particles, scheme=scheme, rng=rng, test_functions=funcs
         )

@@ -199,9 +199,10 @@ class CoupledEulerModel(FeynmanKacModel):
 
     States have shape ``(N, 2)``: column 0 is the fine path (level
     ``level``), column 1 the coarse path (level ``level - 1``).  Both
-    start from the same initial draw.  The model's potential is the
-    arithmetic mean of the two marginal observation potentials, which
-    is positive whenever either marginal is.
+    start from the same initial draw.  The model exposes the two
+    marginal observation potentials (`log_potential_pair`); the delta
+    filter (`mcis.smc.run_delta_pf`) weighs particles by their
+    arithmetic mean, which is positive whenever either marginal is.
     """
 
     fine: EulerDiffusionModel = None
@@ -230,10 +231,6 @@ class CoupledEulerModel(FeynmanKacModel):
     def log_potential_pair(self, p, x):
         """Marginal log-potentials ``(fine, coarse)`` at step ``p``."""
         return self.fine.log_potential(p, x[:, 0]), self.coarse.log_potential(p, x[:, 1])
-
-    def log_potential(self, p, x):
-        log_f, log_c = self.log_potential_pair(p, x)
-        return np.logaddexp(log_f, log_c) - math.log(2.0)
 
 
 def coupled_euler_interval(model: CoupledEulerModel, x_fine, x_coarse, rng):

@@ -222,15 +222,14 @@ def randomized_smoother_estimate(
     Draws a level, runs the coupled-difference filter there with the
     schedule's particle count, divides by the level probability, and
     adds an independent level-0 filter estimate — all on the supplied
-    generator, in that order.  Test functions take a path array
-    ``(n+1, N)`` and return per-particle values.
+    generator, in that order.  Test functions take the final states
+    ``(N,)`` and return per-particle values.
     """
     level = sample_level(schedule, rng)
-    _check_guard(schedule, level, family.n_intervals, substep_guard)
+    delta_cost = _check_guard(schedule, level, family.n_intervals, substep_guard)
     probability = float(schedule.pmf(level))
     delta = run_delta_pf(
         family.coupled_model(theta, level),
-        theta,
         schedule.particle_count(level),
         rng=rng,
         test_functions=test_functions,
@@ -248,7 +247,7 @@ def randomized_smoother_estimate(
         values=values,
         value_one=value_one,
         level=level,
-        cost=delta.cost + zero_cost,
+        cost=float(delta_cost + zero_cost),
     )
 
 
@@ -336,20 +335,44 @@ class _LevelZeroLikelihood:
         return estimate.log_normalizer, estimate
 
 
+def _check_levels(schedule, levels, n_intervals, guard):
+    """Particle-substeps of each state's coupled run; one
+    ResourceGuardError names every state (numbered from 1, as ``j`` in
+    the trace) whose level needs more than ``guard``."""
+    required = [particle_substeps(schedule, level, n_intervals) for level in levels]
+    over = {}
+    for j, (level, need) in enumerate(zip(levels, required), start=1):
+        if need > guard:
+            over.setdefault((level, need), []).append(j)
+    if over:
+        parts = "; ".join(
+            f"level {level} needs {need} (jump states {', '.join(map(str, states))})"
+            for (level, need), states in sorted(over.items())
+        )
+        level, need = max(over)
+        raise ResourceGuardError(
+            f"sampled levels exceed the guard budget of {guard} particle-substeps "
+            f"per run: {parts}; re-seed or raise the guard",
+            level=level,
+            required=need,
+            budget=guard,
+        )
+    return required
+
+
 def _delta_task(task):
-    family, schedule, theta, funcs, streams, index, guard = task
+    family, schedule, theta, funcs, streams, index = task
     rng = streams.stream("mlmc", index)
+    # replays the level run_mlmc_is drew and checked; holding every
+    # state's generator from then on would cost ~1.8 kB per state
     level = sample_level(schedule, rng)
-    _check_guard(schedule, level, family.n_intervals, guard)
     bound = [_BoundFunction(f, theta) for f in funcs]
-    delta = run_delta_pf(
+    return run_delta_pf(
         family.coupled_model(theta, level),
-        theta,
         schedule.particle_count(level),
         rng=rng,
         test_functions=bound,
     )
-    return level, delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +421,12 @@ def run_mlmc_is(
     irrelevant), runs the coupled-difference filter, and forms possibly
     negative debiased weights; the self-normalized ratio estimates the
     posterior mean of ``test_functions[f_index]`` under the exact
-    dynamics.  Test functions are callables of ``(theta, paths)``.
+    dynamics.  Test functions are callables of ``(theta, final
+    states)``.
+
+    Every level is the first draw of its state's stream, so all of them
+    are drawn and checked against ``substep_guard`` before the first
+    coupled run: one `ResourceGuardError` names every offending state.
     """
     if eps_reg <= 0:
         raise ParameterError(
@@ -418,20 +446,18 @@ def run_mlmc_is(
         n_burn=n_burn,
     )
 
+    levels = [sample_level(schedule, streams.stream("mlmc", j)) for j in range(len(jump))]
+    block_costs = np.array(
+        _check_levels(schedule, levels, family.n_intervals, substep_guard), float
+    )
+    funcs = tuple(test_functions)
     tasks = [
-        (family, schedule, jump.thetas[j], tuple(test_functions), streams, j,
-         substep_guard)
-        for j in range(len(jump))
+        (family, schedule, theta, funcs, streams, j) for j, theta in enumerate(jump.thetas)
     ]
-    outputs = list(ordered_map(_delta_task, tasks, n_workers=n_workers))
+    deltas = ordered_map(_delta_task, tasks, n_workers=n_workers)
 
-    n_funcs = len(test_functions)
     samples = []
-    levels = np.empty(len(jump), np.int64)
-    block_costs = np.empty(len(jump))
-    for j, (level, delta) in enumerate(outputs):
-        levels[j] = level
-        block_costs[j] = delta.cost
+    for j, (level, delta) in enumerate(zip(levels, deltas)):
         payload = jump.payloads[j]  # level-0 smoother estimate from phase 1
         denominator = math.exp(_log_regularized(jump.logliks[j], eps_reg))
         probability = float(schedule.pmf(level))
@@ -475,7 +501,7 @@ def run_mlmc_is(
         samples=samples,
         estimate=estimate,
         ledger=ledger,
-        levels=levels,
+        levels=np.array(levels, np.int64),
         asvar=asvar,
     )
 

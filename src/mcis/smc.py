@@ -5,22 +5,24 @@ resampling at every step, and carries unnormalized weights
 
     V_0 = G_0 / N,        V_p = V*_{p-1} * G_p / N,
 
-where ``V*_p`` is the step total.  The output pairs ``(V^(i), X^(i))``
-give unbiased estimates ``sum_i V^(i) phi(X^(i))`` of the unnormalized
-smoother; in particular the normalizer estimates the likelihood.
-Weights are carried in log domain and materialized once per step.
+where ``V*_p`` is the step total.  The final pairs ``(V^(i), X_n^(i))``
+give unbiased estimates ``sum_i V^(i) phi(X_n^(i))`` of the
+unnormalized smoother's final-time marginal; in particular the
+normalizer estimates the likelihood.  Test functions therefore read the final states
+``(N, ...)``, not whole paths.  Weights are carried in log domain and
+materialized once per step.
 
-The delta filter runs the same recursion on a coupled fine/coarse model
-and corrects each trajectory by the ratio of its marginal potential
-product to the coupled one, producing an unbiased estimate of the
-difference of the two levels' unnormalized smoothers.  Its output may
-be negative.
+The delta filter runs the same loop on a coupled fine/coarse model and
+corrects each particle by the ratio of its ancestry's marginal
+potential product to the coupled one, producing an unbiased estimate of
+the difference of the two levels' unnormalized functionals.  Its output
+may be negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,22 +122,12 @@ def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ParticleCloud:
-    """Filter output: per-step states, ancestor links and final weights.
-
-    Trajectories are stored implicitly — per-step state arrays plus
-    ancestor indices — and reconstructed on demand by index chasing,
-    which keeps memory at O(n N) instead of O(n^2 N).
-    """
+    """Filter output: per-step states and final weights."""
 
     n_particles: int
     states: list  # length n+1; states[p] has shape (N, ...)
-    ancestors: list  # length n; ancestors[p] selected the parents of states[p+1]
     final_log_weights: np.ndarray
     log_normalizer: float
-
-    @property
-    def horizon(self) -> int:
-        return len(self.states) - 1
 
     @property
     def final_states(self) -> np.ndarray:
@@ -147,26 +139,15 @@ class ParticleCloud:
         series; prefer log quantities for ratios)."""
         return np.exp(self.final_log_weights)
 
-    def trajectories(self) -> np.ndarray:
-        """Full paths, shape ``(n+1, N, ...)``: entry ``[:, i]`` is the
-        surviving trajectory of final particle ``i``."""
-        paths = [None] * len(self.states)
-        paths[-1] = self.states[-1]
-        index = np.arange(self.n_particles)
-        for p in range(len(self.ancestors) - 1, -1, -1):
-            index = self.ancestors[p][index]
-            paths[p] = self.states[p][index]
-        return np.stack(paths)
-
 
 @dataclass(frozen=True, eq=False)
 class SmootherEstimate:
     """Unbiased functionals of the unnormalized smoother.
 
     ``values[j]`` estimates the unnormalized integral of test function
-    ``j``; ``normalizer`` is the likelihood estimate (the functional of
-    the constant 1).  ``self_normalized[j]`` = values[j] / normalizer,
-    defined as 0 when the filter collapsed.
+    ``j`` of the final states; ``normalizer`` is the likelihood estimate
+    (the functional of the constant 1).  ``self_normalized[j]`` =
+    values[j] / normalizer, defined as 0 when the filter collapsed.
     """
 
     values: np.ndarray
@@ -184,14 +165,12 @@ class DeltaEstimate:
 
     ``value_one`` estimates the difference of the two levels'
     likelihoods; ``values[j]`` the difference of unnormalized smoother
-    functionals.  Values may be negative.  ``cost`` counts executed
-    Euler substeps times particles.
+    functionals.  Values may be negative.
     """
 
     level: int
     values: np.ndarray
     value_one: float
-    cost: float
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +189,47 @@ def _materialize(log_weights: np.ndarray):
 def _check_potentials(log_pot: np.ndarray, step: int):
     if np.any(np.isnan(log_pot)):
         raise ModelEvaluationError(f"NaN potential at step {step}")
+
+
+def _run_filter(model, n_particles: int, scheme: str, rng, weigh) -> ParticleCloud:
+    """The resample-propagate-weight loop behind both filters.
+
+    ``weigh(p, x, parents)`` returns the checked step-``p``
+    log-potentials of the states ``x``; ``parents`` holds the ancestor
+    indices that step ``p``'s resampling selected, and is ``None`` at
+    step 0.  Draws come from ``rng`` in a fixed order: the initial
+    states, then resampling and transition at every step.
+    """
+    if n_particles < 1:
+        raise ParameterError("need at least one particle")
+    if rng is None:
+        rng = np.random.default_rng()
+    # np.log rather than math.log: _materialize shifts by this constant
+    # and un-shifts with np.log, so a unit-potential model telescopes to
+    # a normalizer of exactly 1.0
+    log_count = float(np.log(n_particles))
+
+    x = model.sample_initial(n_particles, rng)
+    states = [x]
+    log_weights = weigh(0, x, None) - log_count
+    weights, log_total = _materialize(log_weights)
+
+    for p in range(1, model.n + 1):
+        if log_total > -np.inf:
+            parents = resample(weights, scheme, rng)
+        else:
+            parents = np.arange(n_particles)  # collapsed: weights stay zero
+        x = model.sample_transition(p, x[parents], rng)
+        states.append(x)
+        log_weights = (log_total - log_count) + weigh(p, x, parents)
+        weights, log_total = _materialize(log_weights)
+
+    return ParticleCloud(
+        n_particles=n_particles,
+        states=states,
+        final_log_weights=log_weights,
+        log_normalizer=log_total,
+    )
 
 
 def run_particle_filter(
@@ -231,54 +251,21 @@ def run_particle_filter(
     n_particles : int
     scheme : resampling scheme name
     rng : numpy Generator
-    test_functions : callables mapping a path array ``(n+1, N, ...)``
+    test_functions : callables mapping the final states ``(N, ...)``
         to per-particle values ``(N,)`` (or a scalar, broadcast).
 
     Returns
     -------
     (ParticleCloud, SmootherEstimate)
     """
-    if n_particles < 1:
-        raise ParameterError("need at least one particle")
-    if rng is None:
-        rng = np.random.default_rng()
-    # np.log rather than math.log: _materialize shifts by this constant
-    # and un-shifts with np.log, so a unit-potential model telescopes to
-    # a normalizer of exactly 1.0
-    log_count = float(np.log(n_particles))
 
-    states = []
-    ancestors = []
-
-    x = model.sample_initial(n_particles, rng)
-    states.append(x)
-    log_pot = np.asarray(model.log_potential(0, x), float)
-    _check_potentials(log_pot, 0)
-    log_weights = log_pot - log_count
-    weights, log_total = _materialize(log_weights)
-
-    for p in range(1, model.n + 1):
-        if log_total > -np.inf:
-            parents = resample(weights, scheme, rng)
-        else:
-            parents = np.arange(n_particles)  # collapsed: weights stay zero
-        ancestors.append(parents)
-        x = model.sample_transition(p, x[parents], rng)
-        states.append(x)
+    def weigh(p, x, parents):
         log_pot = np.asarray(model.log_potential(p, x), float)
         _check_potentials(log_pot, p)
-        log_weights = (log_total - log_count) + log_pot
-        weights, log_total = _materialize(log_weights)
+        return log_pot
 
-    cloud = ParticleCloud(
-        n_particles=n_particles,
-        states=states,
-        ancestors=ancestors,
-        final_log_weights=log_weights,
-        log_normalizer=log_total,
-    )
-    estimate = _evaluate_functionals(cloud, test_functions)
-    return cloud, estimate
+    cloud = _run_filter(model, n_particles, scheme, rng, weigh)
+    return cloud, _evaluate_functionals(cloud, test_functions)
 
 
 def _evaluate_functionals(cloud: ParticleCloud, test_functions) -> SmootherEstimate:
@@ -289,11 +276,10 @@ def _evaluate_functionals(cloud: ParticleCloud, test_functions) -> SmootherEstim
                                 self_normalized=zeros.copy())
     shifted = np.exp(cloud.final_log_weights - cloud.log_normalizer)
     normalizer = math.exp(cloud.log_normalizer)
-    paths = cloud.trajectories() if n_funcs else None
     normalized = np.empty(n_funcs)
     values = np.empty(n_funcs)
     for j, func in enumerate(test_functions):
-        raw = np.asarray(func(paths), float)
+        raw = np.asarray(func(cloud.final_states), float)
         mean = float(np.sum(shifted * raw)) if raw.ndim else float(raw)
         normalized[j] = mean
         values[j] = normalizer * mean
@@ -338,7 +324,6 @@ def ratio_estimate(
 
 def run_delta_pf(
     model: CoupledEulerModel,
-    theta,
     n_particles: int,
     rng: np.random.Generator | None = None,
     test_functions: Sequence[Callable] = (),
@@ -347,88 +332,50 @@ def run_delta_pf(
     """Unbiased estimate of the fine-minus-coarse unnormalized smoother.
 
     Runs the particle filter on the coupled model and reweights each
-    surviving trajectory by the ratios of its fine (respectively
-    coarse) potential product to the coupled potential product; the
-    difference of the two reweighted functionals estimates the level
-    increment.  Multinomial resampling is the default, matching the
-    setting in which the increment's variance bounds are understood.
+    particle by the ratios of its ancestry's fine (respectively coarse)
+    potential product to the coupled potential product; the difference
+    of the two reweighted functionals estimates the level increment.
+    Multinomial resampling is the default, matching the setting in which
+    the increment's variance bounds are understood.
 
-    Test functions receive single-path arrays ``(n+1, N)`` — they are
-    evaluated separately on the fine and the coarse coordinate.
+    Test functions receive final states ``(N,)`` — they are evaluated
+    separately on the fine and the coarse column.
     """
-    if n_particles < 1:
-        raise ParameterError("need at least one particle")
     if model.fine.level < 1:
         raise ParameterError("delta filter requires fine level >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    log_count = float(np.log(n_particles))
-    cost = 0.0
-    substeps_per_interval = model.fine.substeps + model.coarse.substeps
-
-    states = []
-    ancestors = []
-
-    x = model.sample_initial(n_particles, rng)
-    states.append(x)
-    log_fine, log_coarse = model.log_potential_pair(0, x)
-    log_pot = _coupled_potential(log_fine, log_coarse, 0)
     # running log-ratios of marginal to coupled potential products
-    ratio_fine = _ratio_update(np.zeros(n_particles), log_fine, log_pot)
-    ratio_coarse = _ratio_update(np.zeros(n_particles), log_coarse, log_pot)
-    log_weights = log_pot - log_count
-    weights, log_total = _materialize(log_weights)
+    ratio_fine = ratio_coarse = 0.0
 
-    for p in range(1, model.n + 1):
-        if log_total > -np.inf:
-            parents = resample(weights, scheme, rng)
-        else:
-            parents = np.arange(n_particles)
-        ancestors.append(parents)
-        x = model.sample_transition(p, x[parents], rng)
-        cost += n_particles * substeps_per_interval
-        states.append(x)
-        ratio_fine = ratio_fine[parents]
-        ratio_coarse = ratio_coarse[parents]
+    def weigh(p, x, parents):
+        nonlocal ratio_fine, ratio_coarse
+        if parents is not None:
+            ratio_fine, ratio_coarse = ratio_fine[parents], ratio_coarse[parents]
         log_fine, log_coarse = model.log_potential_pair(p, x)
         log_pot = _coupled_potential(log_fine, log_coarse, p)
         ratio_fine = _ratio_update(ratio_fine, log_fine, log_pot)
         ratio_coarse = _ratio_update(ratio_coarse, log_coarse, log_pot)
-        log_weights = (log_total - log_count) + log_pot
-        weights, log_total = _materialize(log_weights)
+        return log_pot
 
-    if log_total == -np.inf:
-        zeros = np.zeros(len(test_functions))
-        return DeltaEstimate(level=model.level, values=zeros, value_one=0.0, cost=cost)
+    cloud = _run_filter(model, n_particles, scheme, rng, weigh)
+    values = np.zeros(len(test_functions))
+    if cloud.log_normalizer == -np.inf:
+        return DeltaEstimate(level=model.level, values=values, value_one=0.0)
 
-    cloud = ParticleCloud(
-        n_particles=n_particles,
-        states=states,
-        ancestors=ancestors,
-        final_log_weights=log_weights,
-        log_normalizer=log_total,
-    )
-    shifted = np.exp(log_weights - log_total)
-    normalizer = math.exp(log_total)
+    shifted = np.exp(cloud.final_log_weights - cloud.log_normalizer)
+    normalizer = math.exp(cloud.log_normalizer)
     # bounded by construction: each marginal potential is at most twice
     # the coupled one, so the ratios never exceed 2^(n+1)
     weight_fine = shifted * np.exp(ratio_fine)
     weight_coarse = shifted * np.exp(ratio_coarse)
     value_one = normalizer * float(np.sum(weight_fine - weight_coarse))
-    values = np.empty(len(test_functions))
-    if test_functions:
-        paths = cloud.trajectories()  # (n+1, N, 2)
-        fine_paths = paths[:, :, 0]
-        coarse_paths = paths[:, :, 1]
-        for j, func in enumerate(test_functions):
-            f_fine = np.asarray(func(fine_paths), float)
-            f_coarse = np.asarray(func(coarse_paths), float)
-            values[j] = normalizer * float(
-                np.sum(weight_fine * f_fine) - np.sum(weight_coarse * f_coarse)
-            )
-    return DeltaEstimate(
-        level=model.level, values=values, value_one=value_one, cost=cost
-    )
+    fine, coarse = cloud.final_states[:, 0], cloud.final_states[:, 1]
+    for j, func in enumerate(test_functions):
+        f_fine = np.asarray(func(fine), float)
+        f_coarse = np.asarray(func(coarse), float)
+        values[j] = normalizer * float(
+            np.sum(weight_fine * f_fine) - np.sum(weight_coarse * f_coarse)
+        )
+    return DeltaEstimate(level=model.level, values=values, value_one=value_one)
 
 
 def _coupled_potential(log_fine, log_coarse, step):

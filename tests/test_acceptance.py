@@ -81,11 +81,11 @@ FAMILY_06 = LgssmFamily(
 KALMAN_06 = KalmanLikelihood(FAMILY_06)
 
 
-def _final_state(paths):
-    return paths[-1]
+def _final_state(states):
+    return states
 
 
-def _coeff_value(theta, paths):
+def _coeff_value(theta, states):
     return float(np.atleast_1d(theta)[0])
 
 
@@ -176,7 +176,7 @@ def test_criterion_04_coupled_increment_unbiasedness():
     reps = 50_000
     values = np.empty(reps)
     for r in range(reps):
-        values[r] = run_delta_pf(coupled, theta, 128, rng=rng).value_one
+        values[r] = run_delta_pf(coupled, 128, rng=rng).value_one
     se = values.std(ddof=1) / math.sqrt(reps)
     error = abs(values.mean() - target)
     ok = error <= 3.0 * se
@@ -218,7 +218,7 @@ def test_criterion_06_increment_variance_decay():
         rng = substream(SEED, "acc06", int(level))
         values = np.empty(reps)
         for r in range(reps):
-            values[r] = run_delta_pf(coupled, theta, 64, rng=rng).value_one
+            values[r] = run_delta_pf(coupled, 64, rng=rng).value_one
         log2_moments.append(math.log2(float(np.mean(values * values))))
     slope = float(np.polyfit(levels, log2_moments, 1)[0])
     ok = slope <= -0.8

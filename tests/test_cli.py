@@ -712,6 +712,90 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_thinning_applies_to_pf_and_mlmc_traces(tmp_path):
+    # 6 filter steps and 69 jump states, every fifth record kept
+    for name, text, kept in (("pf", _PF_CONFIG, 2), ("mlmc", _MLMC_CONFIG, 14)):
+        thinned = _edited(text, {"sampler.thinning": "5"})
+        out_dir = tmp_path / name
+        assert run_experiment(_write(tmp_path, thinned, f"{name}.ini"), output_dir=out_dir) == 0
+        assert len((out_dir / "trace.jsonl").read_text().splitlines()) == kept
+    summary = json.loads((tmp_path / "mlmc" / "summary.json").read_text())
+    assert summary["results"]["n_jump_states"] == 69
+
+
+def test_mlmc_guard_names_every_offender_before_any_coupled_run(
+    tmp_path, capsys, monkeypatch
+):
+    import mcis.multilevel as multilevel
+    from mcis.rng import KeyedStreams
+
+    chains, coupled_runs = [], []
+    chain = multilevel.run_approx_marginal_chain
+
+    def recorded_chain(*args, **kwargs):
+        chains.append(chain(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(multilevel, "run_approx_marginal_chain", recorded_chain)
+    monkeypatch.setattr(
+        multilevel, "run_delta_pf", lambda *args, **kwargs: coupled_runs.append(1)
+    )
+    edits = {"model.simulate": "101", "schedule.rho": "0.5", "schedule.n_base": "16",
+             "guard.substeps": "100000"}
+    path = _write(tmp_path, _edited(_MLMC_CONFIG, edits))
+    assert run_experiment(path, workers=1) == 4
+    assert coupled_runs == []
+    err = capsys.readouterr().err
+
+    schedule = multilevel.build_schedule(rho=0.5, n_base=16)
+    streams = KeyedStreams(11)
+    offenders = {}
+    for j in range(len(chains[0])):
+        level = multilevel.sample_level(schedule, streams.stream("mlmc", j))
+        if multilevel.particle_substeps(schedule, level, 100) > 100_000:
+            offenders.setdefault(level, []).append(j + 1)
+    assert len(offenders) >= 2
+    for level, states in offenders.items():
+        need = multilevel.particle_substeps(schedule, level, 100)
+        assert f"level {level} needs {need} (jump states {', '.join(map(str, states))})" in err
+    assert err.count("level ") == len(offenders)
+
+
+# summary.json SHA-256 of the test configs; a change that moves random
+# streams or rounding must update these openly
+_PINNED_SUMMARIES = [
+    ("pf", _PF_CONFIG,
+     "443da2b1dcf90e47a41357e74f24c0cb14271a18f4f0b425b3b4350bcfd3a3d5"),
+    ("pf-ou", _edited(_MLMC_CONFIG, {"experiment.algorithm": "pf", "schedule": None,
+                                     "sampler.n_particles": "8", "model.level": "2"}),
+     "31af3b2f0c2474e8090c2ccce5ad8df40804b873cbfab7ffc2ef4e794ada8b06"),
+    ("pmmh", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = pmmh"),
+     "0e406fa5ea2f3d61a87f95b2538426c83153f5bfd312d92522000782fd4b1cfd"),
+    ("da", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = da"),
+     "5e292f21c179abcf19da4e66028a809e6b0d43d566e96c88020f153e95579447"),
+    ("mcmc-is", _mcmc_is_config(),
+     "d578b20509d4b06984aae83e78ad67577f2fbcd0681911e992b9808e70f05cd7"),
+    ("mlmc-is", _MLMC_CONFIG,
+     "25b9f90e81bdc670bb9a94aab6123afcef2685ab697acd9c7ec716d510ec1894"),
+    ("abc-mcmc", _ABC_CONFIG,
+     "7e6e2c39abff55f10559baca022c644ef4f71f9b4c70b79fedbf02875fc73c5e"),
+    ("abc-adaptive", _ABC_ADAPTIVE_CONFIG,
+     "0abf99837ec430cbb98b52bc2bf2940a1f5d43c0e387990411d2eec49b70b6ea"),
+    ("compare", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = compare")
+     .replace("n_iterations = 120", "n_iterations = 150"),
+     "99cc9312e644441823af8e8f2c1dc3c5a0b954d46d6fdb18b750f57fd71cb7ec"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, digest", _PINNED_SUMMARIES, ids=[p[0] for p in _PINNED_SUMMARIES]
+)
+def test_summary_bytes_are_pinned(tmp_path, capsys, name, text, digest):
+    out_dir = tmp_path / "out"
+    assert run_experiment(_write(tmp_path, text), output_dir=out_dir) == 0
+    assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == digest
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     text = _ABC_CONFIG.replace("epsilon_post = 0.5", "epsilon_post = 1e-12")
     assert run_experiment(_write(tmp_path, text)) == 3

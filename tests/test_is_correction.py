@@ -54,11 +54,11 @@ def _scalar_family(theta):
     return lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]), ys=YS_COEFF_06))
 
 
-def _theta_value(theta, paths):
+def _theta_value(theta, states):
     return float(theta[0])
 
 
-def _unit_function(theta, paths):
+def _unit_function(theta, states):
     return 1.0
 
 

@@ -179,7 +179,7 @@ def test_particle_runner_returns_evaluation():
     runner = particle_likelihood_runner(
         lambda theta: lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]))),
         n_particles=64,
-        test_function=lambda theta, paths: paths[-1],
+        test_function=lambda theta, states: states,
     )
     ev = runner(np.array([0.9]), substream(4, "runner"))
     assert isinstance(ev, LikelihoodEvaluation)
@@ -274,7 +274,7 @@ def test_pmmh_estimate_is_post_burn_functional_mean():
     runner = particle_likelihood_runner(
         lambda theta: lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]))),
         n_particles=32,
-        test_function=lambda theta, paths: paths[-1],
+        test_function=lambda theta, states: states,
     )
     trace, estimate = run_pmmh(
         UNIT_PRIOR,

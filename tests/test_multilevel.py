@@ -26,6 +26,7 @@ from mcis.multilevel import (
     LevelSchedule,
     build_schedule,
     ire,
+    particle_substeps,
     randomized_smoother_estimate,
     realized_length,
     run_mlmc_is,
@@ -37,7 +38,7 @@ from mcis.smc import run_delta_pf, run_particle_filter
 from conftest import OU_DRIFT, YS_OU, ou_family
 
 
-def _theta_value(theta, paths):
+def _theta_value(theta, states):
     return float(theta[0])
 
 
@@ -127,7 +128,7 @@ def test_randomized_estimate_replays_documented_draw_order():
     family = ou_family()
     schedule = build_schedule(rho=1.0, n_base=8)
     theta = [OU_DRIFT]
-    phi = (lambda paths: paths[-1],)
+    phi = (lambda states: states,)
 
     est = randomized_smoother_estimate(
         theta, schedule, family, substream(3, "replay"), test_functions=phi
@@ -137,7 +138,6 @@ def test_randomized_estimate_replays_documented_draw_order():
     level = sample_level(schedule, rng)
     delta = run_delta_pf(
         family.coupled_model(theta, level),
-        theta,
         schedule.particle_count(level),
         rng=rng,
         test_functions=phi,
@@ -149,7 +149,8 @@ def test_randomized_estimate_replays_documented_draw_order():
     assert est.level == level
     assert est.value_one == delta.value_one / probability + zero.normalizer
     np.testing.assert_array_equal(est.values, delta.values / probability + zero.values)
-    assert est.cost == delta.cost + schedule.n_base * family.n_intervals
+    delta_cost = particle_substeps(schedule, level, family.n_intervals)
+    assert est.cost == delta_cost + schedule.n_base * family.n_intervals
 
 
 class _AtomSchedule:

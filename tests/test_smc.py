@@ -22,10 +22,12 @@ from mcis.errors import (
     ModelEvaluationError,
     ParameterError,
 )
+from mcis.models import diffusion
 from mcis.models.diffusion import DiffusionFamily, LinearDrift
 from mcis.models.fk import FeynmanKacModel
 from mcis.models.lgssm import kalman_loglik, kalman_smoother_means, lgssm_feynman_kac
 from mcis.models.diffusion import ou_level_lgssm
+from mcis.multilevel import build_schedule, particle_substeps
 from mcis.rng import substream
 from mcis.smc import (
     RESAMPLING_SCHEMES,
@@ -155,20 +157,9 @@ def test_likelihood_estimate_is_unbiased_for_reference_model():
     assert se / target < 0.02  # at this particle count the estimate is tight
 
 
-def test_trajectories_reconstruct_ancestry():
-    model = UnitPotentialModel(n=3)
-    cloud, _ = run_particle_filter(model, 5, rng=substream(7, "traj"))
-    paths = cloud.trajectories()
-    assert paths.shape == (4, 5)
-    np.testing.assert_array_equal(paths[-1], cloud.final_states)
-    # every path entry at step p is one of the stored step-p states
-    for p in range(4):
-        assert np.all(np.isin(paths[p], cloud.states[p]))
-
-
 def test_smoother_functionals_and_self_normalization():
     fk = lgssm_feynman_kac(scalar_ssm())
-    phi = (lambda paths: paths[-1], lambda paths: np.ones(paths.shape[1]))
+    phi = (lambda states: states, lambda states: np.ones(states.shape[0]))
     _, est = run_particle_filter(fk, 512, rng=substream(8, "functionals"), test_functions=phi)
     assert est.values.shape == (2,)
     # the constant-1 functional reproduces the normalizer
@@ -195,7 +186,7 @@ class _CollapsingModel(FeynmanKacModel):
 
 def test_collapse_yields_zero_normalizer_not_an_error():
     cloud, est = run_particle_filter(
-        _CollapsingModel(), 16, rng=substream(9, "collapse"), test_functions=(lambda p: p[-1],)
+        _CollapsingModel(), 16, rng=substream(9, "collapse"), test_functions=(lambda x: x,)
     )
     assert cloud.log_normalizer == -np.inf
     assert est.normalizer == 0.0
@@ -234,7 +225,7 @@ def test_particle_count_validation():
 def test_ratio_estimate_single_replicate():
     fk = lgssm_feynman_kac(scalar_ssm())
     _, est = run_particle_filter(
-        fk, 256, rng=substream(12, "single"), test_functions=(lambda p: p[-1],)
+        fk, 256, rng=substream(12, "single"), test_functions=(lambda x: x,)
     )
     point, se = ratio_estimate([est], 0)
     assert point == pytest.approx(est.self_normalized[0], rel=1e-12)
@@ -246,7 +237,7 @@ def test_ratio_estimate_recovers_smoothed_mean():
     fk = lgssm_feynman_kac(model)
     rng = substream(13, "ratio")
     estimates = [
-        run_particle_filter(fk, 256, rng=rng, test_functions=(lambda p: p[-1],))[1]
+        run_particle_filter(fk, 256, rng=rng, test_functions=(lambda x: x,))[1]
         for _ in range(100)
     ]
     point, se = ratio_estimate(estimates, 0)
@@ -285,19 +276,28 @@ def test_identical_margins_give_exactly_zero():
         ys=np.asarray(YS_OU),
     )
     model = family.coupled_model([0.0], level=2)
-    est = run_delta_pf(
-        model, [0.0], 32, rng=substream(14, "frozen"), test_functions=(lambda p: p[-1],)
-    )
+    est = run_delta_pf(model, 32, rng=substream(14, "frozen"), test_functions=(lambda x: x,))
     assert est.value_one == 0.0
     np.testing.assert_array_equal(est.values, 0.0)
 
 
-def test_delta_cost_counts_substeps_times_particles():
-    family = ou_family()
-    model = family.coupled_model([OU_DRIFT], level=2)
-    est = run_delta_pf(model, [OU_DRIFT], 16, rng=substream(15, "cost"))
+def test_delta_cost_counts_substeps_times_particles(monkeypatch):
+    # the one cost formula, multilevel.particle_substeps, is the number
+    # of Euler substeps times particles a coupled run executes
+    executed = []
+    interval = diffusion.coupled_euler_interval
+
+    def counted(model, x_fine, x_coarse, rng):
+        executed.append(len(x_fine) * (model.fine.substeps + model.coarse.substeps))
+        return interval(model, x_fine, x_coarse, rng)
+
+    monkeypatch.setattr(diffusion, "coupled_euler_interval", counted)
+    model = ou_family().coupled_model([OU_DRIFT], level=2)
+    est = run_delta_pf(model, 16, rng=substream(15, "cost"))
     n_intervals = len(YS_OU) - 1
-    assert est.cost == 16 * n_intervals * (4 + 2)
+    schedule = build_schedule(rho=0.0, n_base=16)  # 16 particles at every level
+    assert sum(executed) == particle_substeps(schedule, 2, n_intervals)
+    assert sum(executed) == 16 * n_intervals * (4 + 2)
     assert est.level == 2
 
 
@@ -317,7 +317,7 @@ def test_delta_mean_matches_per_level_likelihood_difference():
     ones = np.empty(reps)
     phis = np.empty(reps)
     for r in range(reps):
-        est = run_delta_pf(model, [OU_DRIFT], 64, rng=rng, test_functions=(lambda p: p[-1],))
+        est = run_delta_pf(model, 64, rng=rng, test_functions=(lambda x: x,))
         ones[r] = est.value_one
         phis[r] = est.values[0]
     se_one = ones.std(ddof=1) / math.sqrt(reps)
@@ -332,4 +332,4 @@ def test_delta_validation():
     family = ou_family()
     model = family.coupled_model([OU_DRIFT], level=1)
     with pytest.raises(ParameterError):
-        run_delta_pf(model, [OU_DRIFT], 0, rng=substream(0, "d"))
+        run_delta_pf(model, 0, rng=substream(0, "d"))
