@@ -59,7 +59,7 @@ from .errors import (
     ResourceGuardError,
     SupportConditionError,
 )
-from .is_correction import ParticleSmootherRunner, run_mcmc_is
+from .is_correction import ParticleSmootherRunner, run_mcmc_is, weight_residual_series
 from .mcmc import (
     GaussianPrior,
     ProposalState,
@@ -69,8 +69,8 @@ from .mcmc import (
     run_pmmh,
 )
 from .models.abc_model import GaussianLocationAbc
-from .models.diffusion import DiffusionFamily, LinearDrift
-from .models.lgssm import KalmanLikelihood, LgssmFamily
+from .models.diffusion import DiffusionFamily, LinearDrift, ou_level_lgssm
+from .models.lgssm import KalmanLikelihood, LgssmFamily, kalman_loglik
 from .multilevel import DEFAULT_SUBSTEP_GUARD, build_schedule, ire, run_mlmc_is
 from .multilevel import particle_substeps
 from .parallel import worker_count
@@ -913,17 +913,6 @@ def _drive_abc_adaptive(config, setup, streams, n_workers):
     return results, files
 
 
-def _is_residual_series(result) -> np.ndarray:
-    """Per-iteration residual series whose asymptotic variance is the
-    weighted estimator's chain component (comparable across samplers)."""
-    xi_one = np.array([s.xi_one for s in result.samples])
-    xi_f = np.array([s.xi_functions[0] for s in result.samples])
-    multiplicities = np.array([s.multiplicity for s in result.samples], np.int64)
-    mean_unit = float(np.sum(multiplicities * xi_one)) / multiplicities.sum()
-    residuals = (xi_f - result.estimate.value * xi_one) / mean_unit
-    return np.repeat(residuals, multiplicities)
-
-
 def _drive_compare(config, setup, streams, n_workers):
     pmmh_trace = _pmmh(config, setup, streams.stream("pmmh"))
     da_trace = _da(config, setup, streams.stream("da"))
@@ -933,7 +922,9 @@ def _drive_compare(config, setup, streams, n_workers):
     series = {
         "pmmh": [pmmh_trace.thetas[n_burn:, 0]],
         "da": [da_trace.thetas[n_burn:, 0]],
-        "mcmc_is": [_is_residual_series(is_result)],
+        "mcmc_is": [
+            weight_residual_series(is_result.samples, 0, is_result.estimate.value)
+        ],
     }
     report = compare_chains(series)
     results = {
@@ -966,6 +957,43 @@ _DRIVERS = {
 
 # ---------------------------------------------------------------------------
 # Validation report
+
+# algorithms whose approximate chain targets prior * (L + eps_reg)
+_REGULARIZED = ("da", "mcmc-is", "mlmc-is", "compare")
+# standard normal quantiles at 0.1, 0.2, ..., 0.9
+_NORMAL_DECILES = (
+    -1.2815515655446004, -0.8416212335729143, -0.5244005127080407,
+    -0.2533471031357997, 0.0, 0.2533471031357997, 0.5244005127080407,
+    0.8416212335729143, 1.2815515655446004,
+)
+
+
+def _eps_reg_warning(config: ExperimentConfig) -> str | None:
+    """A warning when ``eps_reg`` exceeds the approximate likelihood ``L``
+    at every prior decile: the Kalman likelihood for lgssm, that of the
+    level-0 Euler model for ou.  The regularized target
+    ``prior * (L + eps_reg)`` is then close to the prior."""
+    eps_reg = config.sampler["eps_reg"]
+    if eps_reg == 0.0:
+        return None
+    setup = _set_up(config, KeyedStreams(config.seed))
+    prior = setup.prior
+    if isinstance(prior, UniformPrior):
+        points = [prior.lower + k / 10 * (prior.upper - prior.lower) for k in range(1, 10)]
+    else:
+        points = [prior.mean + z * prior.sd for z in _NORMAL_DECILES]
+    if isinstance(setup.family, LgssmFamily):
+        logliks = [KalmanLikelihood(setup.family)(theta, None) for theta in points]
+    else:
+        logliks = [kalman_loglik(ou_level_lgssm(setup.family, t, 0)) for t in points]
+    largest = max((v for v in logliks if not math.isnan(v)), default=math.inf)
+    if math.log(eps_reg) <= largest:
+        return None
+    return (
+        f"warning          log(eps_reg) = {math.log(eps_reg):.4g} exceeds the "
+        f"log-likelihood at every prior decile (largest {largest:.4g}); the "
+        "approximate chain samples mostly the prior"
+    )
 
 
 def _derived_lines(config: ExperimentConfig) -> list[str]:
@@ -1003,6 +1031,10 @@ def _derived_lines(config: ExperimentConfig) -> list[str]:
             f"guard            {guard} particle-substeps per run "
             f"(levels 1..{admissible} admissible)"
         )
+    if config.algorithm in _REGULARIZED:
+        warning = _eps_reg_warning(config)
+        if warning is not None:
+            lines.append(warning)
     return lines
 
 

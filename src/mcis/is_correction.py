@@ -45,6 +45,7 @@ __all__ = [
     "compute_is_weights",
     "self_normalized_estimate",
     "estimate_asvar_decomposition",
+    "weight_residual_series",
     "effective_sample_size",
     "thin_jump_chain",
     "run_mcmc_is",
@@ -259,6 +260,26 @@ def self_normalized_estimate(
     if denominator == 0.0:
         raise DegenerateEstimatorError("importance weights sum to zero")
     return numerator / denominator
+
+
+def weight_residual_series(
+    samples: Sequence[IsWeightedSample], f_index: int, value: float
+) -> np.ndarray:
+    """Delta-method residuals ``(xi(f) - value * xi(1)) / mean unit
+    weight``, one per chain iteration (each state's repeated by its
+    holding time); their asymptotic variance is that of the
+    self-normalized estimate ``value``."""
+    multiplicities = np.array([s.multiplicity for s in samples], np.int64)
+    xi_one = np.array([s.xi_one for s in samples])
+    xi_f = np.array([s.xi_functions[f_index] for s in samples])
+    mean_unit = float(np.sum(multiplicities * xi_one)) / multiplicities.sum()
+    if mean_unit == 0.0:
+        # only signed (debiased) weights get here: nonnegative ones that
+        # sum to zero already failed in `self_normalized_estimate`
+        raise DegenerateEstimatorError(
+            "debiased weights average to zero; increase eps_reg or iterations"
+        )
+    return np.repeat((xi_f - value * xi_one) / mean_unit, multiplicities)
 
 
 def effective_sample_size(samples: Sequence[IsWeightedSample]) -> float:

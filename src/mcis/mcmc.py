@@ -1,14 +1,17 @@
 """Random-walk Metropolis kernels over particle-filter likelihoods.
 
-Three samplers share one skeleton:
+One loop, ``_metropolis``, runs every chain here.  It walks a list of
+acceptance stages, each a log target at a parameter point: stage 0
+accepts with the ratio of ``prior * target_0`` values, each later stage
+with the ratio of ``target_s / target_(s-1)`` values, and runs only
+once the stage before it accepted.  The three samplers are stage lists:
 
-* ``run_pmmh`` — pseudo-marginal chain whose acceptance ratio uses the
-  particle normalizer directly.
-* ``run_delayed_acceptance`` — screens proposals with a cheap
-  approximate likelihood, then corrects accepted ones with the exact
-  particle normalizer.
-* ``run_approx_marginal_chain`` — targets the approximate (regularized)
-  posterior only, emitting a jump chain for later importance-sampling
+* ``run_pmmh`` — one exact stage, the particle normalizer: the
+  pseudo-marginal chain.
+* ``run_delayed_acceptance`` — the regularized approximate likelihood
+  as a screen, then the exact stage as the correction.
+* ``run_approx_marginal_chain`` — the regularized approximate stage
+  alone, regrouped into a jump chain for later importance-sampling
   correction.
 
 Acceptance ratios are computed entirely in log domain and the tests
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Any, Callable
 
 import numpy as np
@@ -176,16 +180,6 @@ class ProposalState:
     def freeze(self) -> "ProposalState":
         return replace(self, frozen=True)
 
-    def log_transition_density(self, x_from, x_to) -> float:
-        """Log density of proposing ``x_to`` from ``x_from``."""
-        diff = np.asarray(x_to, float) - np.asarray(x_from, float)
-        chol = np.linalg.cholesky(self.covariance)
-        z = np.linalg.solve(chol, diff)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return float(
-            -0.5 * (z @ z) - 0.5 * log_det - 0.5 * self.dim * math.log(2.0 * math.pi)
-        )
-
 
 def propose(
     current: np.ndarray, prop: ProposalState, rng: np.random.Generator
@@ -309,31 +303,6 @@ class JumpChain:
             }
 
 
-class _JumpBuilder:
-    def __init__(self):
-        self.thetas: list = []
-        self.logliks: list = []
-        self.holding: list = []
-        self.payloads: list = []
-
-    def push(self, theta, loglik, payload, *, new_state: bool):
-        if new_state or not self.thetas:
-            self.thetas.append(np.array(theta, float))
-            self.logliks.append(float(loglik))
-            self.holding.append(1)
-            self.payloads.append(payload)
-        else:
-            self.holding[-1] += 1
-
-    def build(self) -> JumpChain:
-        return JumpChain(
-            thetas=np.array(self.thetas),
-            logliks=np.array(self.logliks),
-            holding_times=np.array(self.holding, np.int64),
-            payloads=self.payloads,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Likelihood evaluation plumbing
 
@@ -422,20 +391,135 @@ def _accepts(rng: np.random.Generator, log_ratio: float) -> bool:
     return _log_uniform(rng) < log_ratio
 
 
-def _initialize(prior, draw_state, rng, what: str):
-    """Draw from the prior until ``draw_state`` accepts, capped."""
+# ---------------------------------------------------------------------------
+# The Metropolis loop
+
+
+def _stage(evaluate: Callable, eps_reg: float = 0.0):
+    """Stage whose log target is ``log(L + eps_reg)`` for the likelihood
+    ``L`` that ``evaluate(theta, rng)`` returns."""
+
+    def stage(theta, rng):
+        ev = _as_evaluation(evaluate(theta, rng))
+        return _log_regularized(ev.log_likelihood, eps_reg), ev
+
+    return stage
+
+
+def _metropolis(
+    prior: Prior,
+    proposal: ProposalState,
+    stages: list,
+    n_iterations: int,
+    rng: np.random.Generator,
+    n_burn: int,
+    what: str,
+    every_stage: bool = False,
+):
+    """Random-walk Metropolis over a list of acceptance stages.
+
+    Each stage maps ``(theta, rng)`` to ``(log target, evaluation)``.
+    Stage 0 accepts with the ratio of ``prior * target_0`` values, stage
+    ``s > 0`` with the ratio of ``target_s / target_(s-1)`` values, and
+    a stage runs only once the one before accepted; the chain leaves
+    ``prior * target_last`` invariant.  With ``every_stage`` every
+    stage's evaluation runs on each in-support proposal, but no
+    acceptance draw follows a rejection.  The start is the first prior
+    draw at which every target is positive.
+
+    Yields per iteration ``(theta, current, accepted, deltas)``: the
+    state after it, that state's ``(log target, evaluation)`` per stage
+    (one list per distinct state), whether the proposal was taken, and
+    the log ratios of the stages that ran (``None`` when the proposal
+    has zero prior mass).  The proposal adapts for ``n_burn``
+    iterations, then freezes.
+    """
+
+    def start(theta):
+        if prior.log_density(theta) == -math.inf:
+            return None
+        current = []
+        for stage in stages:
+            current.append(stage(theta, rng))
+            if current[-1][0] == -math.inf:
+                return None
+        return current
+
     for _ in range(MAX_INIT_RETRIES):
         theta = np.atleast_1d(prior.sample(rng))
-        state = draw_state(theta)
-        if state is not None:
-            return state
-    raise InitializationError(
-        f"no valid starting point for {what} in {MAX_INIT_RETRIES} prior draws"
+        current = start(theta)
+        if current is not None:
+            break
+    else:
+        raise InitializationError(
+            f"no valid starting point for {what} in {MAX_INIT_RETRIES} prior draws"
+        )
+    log_prior = prior.log_density(theta)
+
+    for k in range(1, n_iterations + 1):
+        theta_new = propose(theta, proposal, rng)
+        log_prior_new = prior.log_density(theta_new)
+        accepted, deltas = False, None
+        if log_prior_new > -math.inf:
+            accepted, deltas, new = True, [], []
+            for s, stage in enumerate(stages):
+                if s and not (accepted or every_stage):
+                    break
+                target, ev = stage(theta_new, rng)
+                if s == 0:
+                    delta = (log_prior_new + target) - (log_prior + current[0][0])
+                else:
+                    if target > -math.inf and new[-1][0] == -math.inf:
+                        raise SupportConditionError(
+                            "approximate likelihood vanished where the exact one "
+                            "is positive; use eps_reg > 0"
+                        )
+                    delta = (target - new[-1][0]) - (current[s][0] - current[s - 1][0])
+                new.append((target, ev))
+                deltas.append(delta)
+                accepted = accepted and _accepts(rng, delta)
+            if accepted:
+                theta, log_prior, current = theta_new, log_prior_new, new
+        yield theta, current, accepted, deltas
+        if k <= n_burn:
+            proposal = adapt_covariance(proposal, theta, k)
+            if k == n_burn:
+                proposal = proposal.freeze()
+
+
+def _chain_trace(steps, n_burn: int, row: Callable | None = None):
+    """`ChainTrace` of a chain whose last stage is exact, and the mean of
+    its post-burn-in functionals; ``row(deltas)`` makes each payload."""
+    thetas, logliks, accepted, functionals, payloads = [], [], [], [], []
+    for theta, current, took, deltas in steps:
+        ev = current[-1][1]
+        thetas.append(theta)
+        logliks.append(ev.log_likelihood)
+        accepted.append(took)
+        functionals.append(ev.functional)
+        if row is not None:
+            payloads.append(row(deltas))
+    functionals = np.array(functionals, float)
+    trace = ChainTrace(
+        thetas=np.array(thetas, float),
+        logliks=np.array(logliks, float),
+        accepted=np.array(accepted, bool),
+        functionals=functionals,
+        payloads=payloads if row is not None else None,
+        n_burn=n_burn,
     )
+    return trace, float(np.mean(functionals[n_burn:]))
+
+
+def _check_chain(n_iterations: int, eps_reg: float = 0.0) -> None:
+    if n_iterations < 1:
+        raise ParameterError("need at least one iteration")
+    if eps_reg < 0:
+        raise ParameterError("regularization must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
-# PMMH
+# The three samplers
 
 
 def run_pmmh(
@@ -455,58 +539,10 @@ def run_pmmh(
     iterations (NaN when the runner declares no test function).
     Proposal covariance adapts for ``n_burn`` iterations, then freezes.
     """
-    if n_iterations < 1:
-        raise ParameterError("need at least one iteration")
-
-    def draw_state(theta):
-        if prior.log_density(theta) == -math.inf:
-            return None
-        ev = _as_evaluation(pf_runner(theta, rng))
-        if ev.log_likelihood == -math.inf:
-            return None
-        return theta, ev
-
-    theta, ev = _initialize(prior, draw_state, rng, "PMMH")
-    log_prior = prior.log_density(theta)
-
-    dim = theta.size
-    thetas = np.empty((n_iterations, dim))
-    logliks = np.empty(n_iterations)
-    accepted = np.zeros(n_iterations, bool)
-    functionals = np.empty(n_iterations)
-
-    for k in range(1, n_iterations + 1):
-        theta_new = propose(theta, proposal, rng)
-        log_prior_new = prior.log_density(theta_new)
-        if log_prior_new > -math.inf:
-            ev_new = _as_evaluation(pf_runner(theta_new, rng))
-            log_ratio = (log_prior_new + ev_new.log_likelihood) - (
-                log_prior + ev.log_likelihood
-            )
-            if _accepts(rng, log_ratio):
-                theta, ev, log_prior = theta_new, ev_new, log_prior_new
-                accepted[k - 1] = True
-        thetas[k - 1] = theta
-        logliks[k - 1] = ev.log_likelihood
-        functionals[k - 1] = ev.functional
-        if k <= n_burn:
-            proposal = adapt_covariance(proposal, theta, k)
-            if k == n_burn:
-                proposal = proposal.freeze()
-
-    trace = ChainTrace(
-        thetas=thetas,
-        logliks=logliks,
-        accepted=accepted,
-        functionals=functionals,
-        n_burn=n_burn,
-    )
-    estimate = float(np.mean(functionals[n_burn:]))
-    return trace, estimate
-
-
-# ---------------------------------------------------------------------------
-# Delayed acceptance
+    _check_chain(n_iterations)
+    stages = [_stage(pf_runner)]
+    steps = _metropolis(prior, proposal, stages, n_iterations, rng, n_burn, "PMMH")
+    return _chain_trace(steps, n_burn)
 
 
 def run_delayed_acceptance(
@@ -535,101 +571,26 @@ def run_delayed_acceptance(
     the single-stage probability from the same estimates).  The chain's
     law is unchanged; it only spends more likelihood evaluations.
     """
-    if n_iterations < 1:
-        raise ParameterError("need at least one iteration")
-    if eps_reg < 0:
-        raise ParameterError("regularization must be nonnegative")
-
-    def draw_state(theta):
-        if prior.log_density(theta) == -math.inf:
-            return None
-        ll0, _ = _normalize_approx(approx_lik(theta, rng))
-        if _log_regularized(ll0, eps_reg) == -math.inf:
-            return None
-        ev = _as_evaluation(pf_runner(theta, rng))
-        if ev.log_likelihood == -math.inf:
-            return None
-        return theta, ll0, ev
-
-    theta, ll0, ev = _initialize(prior, draw_state, rng, "delayed acceptance")
-    log_prior = prior.log_density(theta)
-    log_reg = _log_regularized(ll0, eps_reg)
-
-    dim = theta.size
-    thetas = np.empty((n_iterations, dim))
-    logliks = np.empty(n_iterations)
-    accepted = np.zeros(n_iterations, bool)
-    functionals = np.empty(n_iterations)
-    payloads: list = []
-
-    for k in range(1, n_iterations + 1):
-        theta_new = propose(theta, proposal, rng)
-        log_prior_new = prior.log_density(theta_new)
-        if log_prior_new == -math.inf:
-            # zero-mass proposal: stage 1 rejects outright; the exact
-            # likelihood plays no role, so the single-stage probability
-            # is zero as well
-            payloads.append(
-                {"log_stage1": -math.inf, "log_stage2": 0.0, "log_pmmh": -math.inf}
-            )
-        else:
-            ll0_new, _ = _normalize_approx(approx_lik(theta_new, rng))
-            log_reg_new = _log_regularized(ll0_new, eps_reg)
-            delta1 = (log_prior_new + log_reg_new) - (log_prior + log_reg)
-            stage1_ok = _accepts(rng, delta1)
-            record = {
-                "log_stage1": min(0.0, delta1),
-                "log_stage2": None,
-                "log_pmmh": None,
-            }
-            if stage1_ok or diagnostic_stage2:
-                ev_new = _as_evaluation(pf_runner(theta_new, rng))
-                if ev_new.log_likelihood > -math.inf and log_reg_new == -math.inf:
-                    raise SupportConditionError(
-                        "approximate likelihood vanished where the exact one "
-                        "is positive; use eps_reg > 0"
-                    )
-                delta2 = (ev_new.log_likelihood - log_reg_new) - (
-                    ev.log_likelihood - log_reg
-                )
-                record["log_stage2"] = min(0.0, delta2)
-                record["log_pmmh"] = min(0.0, delta1 + delta2)
-                if stage1_ok and _accepts(rng, delta2):
-                    theta, ll0, ev = theta_new, ll0_new, ev_new
-                    log_prior, log_reg = log_prior_new, log_reg_new
-                    accepted[k - 1] = True
-            payloads.append(record)
-        thetas[k - 1] = theta
-        logliks[k - 1] = ev.log_likelihood
-        functionals[k - 1] = ev.functional
-        if k <= n_burn:
-            proposal = adapt_covariance(proposal, theta, k)
-            if k == n_burn:
-                proposal = proposal.freeze()
-
-    trace = ChainTrace(
-        thetas=thetas,
-        logliks=logliks,
-        accepted=accepted,
-        functionals=functionals,
-        payloads=payloads,
-        n_burn=n_burn,
+    _check_chain(n_iterations, eps_reg)
+    stages = [_stage(approx_lik, eps_reg), _stage(pf_runner)]
+    steps = _metropolis(
+        prior, proposal, stages, n_iterations, rng, n_burn, "delayed acceptance",
+        every_stage=diagnostic_stage2,
     )
-    estimate = float(np.mean(functionals[n_burn:]))
-    return trace, estimate
+    return _chain_trace(steps, n_burn, _da_row)
 
 
-def _normalize_approx(result) -> tuple[float, Any]:
-    if isinstance(result, tuple):
-        log_lik, payload = result
-        return float(log_lik), payload
-    if isinstance(result, LikelihoodEvaluation):
-        return result.log_likelihood, result.payload
-    return float(result), None
-
-
-# ---------------------------------------------------------------------------
-# Approximate marginal chain (phase 1 of the IS-corrected sampler)
+def _da_row(deltas) -> dict:
+    if deltas is None:
+        # zero-mass proposal: stage 1 rejects outright; the exact
+        # likelihood plays no role, so the single-stage probability
+        # is zero as well
+        return {"log_stage1": -math.inf, "log_stage2": 0.0, "log_pmmh": -math.inf}
+    row = {"log_stage1": min(0.0, deltas[0]), "log_stage2": None, "log_pmmh": None}
+    if len(deltas) > 1:
+        row["log_stage2"] = min(0.0, deltas[1])
+        row["log_pmmh"] = min(0.0, deltas[0] + deltas[1])
+    return row
 
 
 def run_approx_marginal_chain(
@@ -648,44 +609,25 @@ def run_approx_marginal_chain(
     log-likelihood, and the evaluator's payload.  The holding times sum
     to ``n_iterations - n_burn``.
     """
-    if n_iterations < 1:
-        raise ParameterError("need at least one iteration")
+    _check_chain(n_iterations, eps_reg)
     if n_burn >= n_iterations:
         raise ParameterError("burn-in must leave at least one iteration")
-    if eps_reg < 0:
-        raise ParameterError("regularization must be nonnegative")
-
-    def draw_state(theta):
-        if prior.log_density(theta) == -math.inf:
-            return None
-        ll0, payload = _normalize_approx(approx_lik(theta, rng))
-        if _log_regularized(ll0, eps_reg) == -math.inf:
-            return None
-        return theta, ll0, payload
-
-    theta, ll0, payload = _initialize(prior, draw_state, rng, "approximate chain")
-    log_prior = prior.log_density(theta)
-    log_reg = _log_regularized(ll0, eps_reg)
-
-    builder = _JumpBuilder()
-    for k in range(1, n_iterations + 1):
-        theta_new = propose(theta, proposal, rng)
-        log_prior_new = prior.log_density(theta_new)
-        took = False
-        if log_prior_new > -math.inf:
-            ll0_new, payload_new = _normalize_approx(approx_lik(theta_new, rng))
-            log_reg_new = _log_regularized(ll0_new, eps_reg)
-            delta = (log_prior_new + log_reg_new) - (log_prior + log_reg)
-            if _accepts(rng, delta):
-                theta, ll0, payload = theta_new, ll0_new, payload_new
-                log_prior, log_reg = log_prior_new, log_reg_new
-                took = True
-        if k > n_burn:
-            # the first kept iteration always opens a fresh block
-            builder.push(theta, ll0, payload, new_state=took or k == n_burn + 1)
-        if k <= n_burn:
-            proposal = adapt_covariance(proposal, theta, k)
-            if k == n_burn:
-                proposal = proposal.freeze()
-
-    return builder.build()
+    stages = [_stage(approx_lik, eps_reg)]
+    steps = _metropolis(
+        prior, proposal, stages, n_iterations, rng, n_burn, "approximate chain"
+    )
+    thetas, logliks, holding, payloads = [], [], [], []
+    for theta, ((_, ev),), took, _ in islice(steps, n_burn, None):
+        if took or not holding:  # the first kept iteration opens a block
+            thetas.append(theta)
+            logliks.append(ev.log_likelihood)
+            holding.append(1)
+            payloads.append(ev.payload)
+        else:
+            holding[-1] += 1
+    return JumpChain(
+        thetas=np.array(thetas, float),
+        logliks=np.array(logliks, float),
+        holding_times=np.array(holding, np.int64),
+        payloads=payloads,
+    )

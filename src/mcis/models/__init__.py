@@ -3,7 +3,6 @@
 from .abc_model import (
     AbcModel,
     GaussianLocationAbc,
-    LotkaVolterraAbc,
     gaussian_abc_likelihood,
 )
 from .diffusion import (
@@ -20,7 +19,6 @@ from .diffusion import (
     ou_level_lgssm,
 )
 from .fk import FeynmanKacModel
-from .gillespie import GillespiePath, Stoichiometry, gillespie_simulate
 from .lgssm import (
     KalmanLikelihood,
     LgssmFamily,
@@ -49,11 +47,7 @@ __all__ = [
     "coupled_euler_interval",
     "ou_level_lgssm",
     "ou_exact_lgssm",
-    "Stoichiometry",
-    "GillespiePath",
-    "gillespie_simulate",
     "AbcModel",
     "GaussianLocationAbc",
-    "LotkaVolterraAbc",
     "gaussian_abc_likelihood",
 ]

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .gillespie import Stoichiometry, gillespie_simulate
 
 __all__ = [
     "AbcModel",
     "GaussianLocationAbc",
-    "LotkaVolterraAbc",
     "gaussian_abc_likelihood",
 ]
 
@@ -78,44 +76,3 @@ def gaussian_abc_likelihood(theta, sigma: float, epsilon: float, y_star: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-# Prey birth, predation, predator death: the classic two-species,
-# three-reaction predator-prey network.
-_LV_STOICHIOMETRY = Stoichiometry(
-    reactants=[[1, 0], [1, 1], [0, 1]],
-    changes=[[1, 0], [-1, 1], [0, -1]],
-)
-
-
-@dataclass(frozen=True, eq=False)
-class LotkaVolterraAbc(AbcModel):
-    """Predator-prey network observed as counts at fixed times.
-
-    The parameter vector holds log reaction rates (birth, predation,
-    death).  A simulated data point is the vector of species counts at
-    ``obs_times``; the metric is the root-mean-square difference of
-    ``log1p`` counts, which tames the heavy tails of the raw counts.
-    """
-
-    init: tuple = (50, 100)
-    obs_times: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
-    y_star: np.ndarray = None
-    prior: object = None
-    max_events: int = 200_000
-
-    def simulate(self, theta, rng):
-        rates = np.exp(np.atleast_1d(np.asarray(theta, float)))
-        path = gillespie_simulate(
-            rates,
-            _LV_STOICHIOMETRY,
-            np.asarray(self.init, dtype=np.int64),
-            t_end=float(self.obs_times[-1]),
-            rng=rng,
-            max_events=self.max_events,
-        )
-        return np.concatenate([path.state_at(t) for t in self.obs_times]).astype(float)
-
-    def distance(self, y, y_other):
-        diff = np.log1p(np.asarray(y, float)) - np.log1p(np.asarray(y_other, float))
-        return float(np.sqrt(np.mean(diff * diff)))

@@ -65,6 +65,8 @@ class LinearGaussianSSM:
         object.__setattr__(
             self, "observations", np.atleast_1d(np.asarray(self.observations, float))
         )
+        for name in ("transition_matrix", "observation_matrix", "initial_mean"):
+            _validate_finite(getattr(self, name), name)
         _validate_cov(self.transition_cov, "transition_cov", allow_singular=True)
         _validate_cov(self.initial_cov, "initial_cov", allow_singular=True)
         _validate_cov(self.observation_cov, "observation_cov", allow_singular=False)
@@ -83,6 +85,15 @@ def _is_0d(value) -> bool:
     return isinstance(value, (float, int)) or np.ndim(value) == 0
 
 
+def _validate_finite(value, name):
+    if _is_0d(value):
+        finite = math.isfinite(value)
+    else:
+        finite = np.isfinite(np.asarray(value, float)).all()
+    if not finite:
+        raise ParameterError(f"{name} must be finite")
+
+
 def _validate_cov(value, name, allow_singular):
     if _is_0d(value):
         _validate_variance(float(value), name, allow_singular)
@@ -90,8 +101,8 @@ def _validate_cov(value, name, allow_singular):
     mat = np.atleast_2d(np.asarray(value, float))
     if mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"{name} must be square, got shape {mat.shape}")
-    if np.isnan(mat).any():
-        raise ParameterError(f"{name} must not be NaN")
+    if not np.isfinite(mat).all():
+        raise ParameterError(f"{name} must be finite")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise ParameterError(f"{name} must be symmetric")
     eigs = np.linalg.eigvalsh(mat)
@@ -104,8 +115,8 @@ def _validate_cov(value, name, allow_singular):
 
 def _validate_variance(value: float, name, allow_singular):
     """`_validate_cov` for a 0-d value: its only eigenvalue is itself."""
-    if math.isnan(value):
-        raise ParameterError(f"{name} must not be NaN")
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite")
     if value < -1e-12 * max(1.0, abs(value)):
         raise ParameterError(f"{name} must be positive semidefinite")
     if not allow_singular and value <= 0.0:

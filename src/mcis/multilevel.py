@@ -21,17 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagnostics import series_stats
-from .errors import (
-    DegenerateEstimatorError,
-    ParameterError,
-    ResourceGuardError,
-)
+from .errors import ParameterError, ResourceGuardError
 from .is_correction import (
     IsEstimate,
     IsWeightedSample,
     constant_one,
     effective_sample_size,
     self_normalized_estimate,
+    weight_residual_series,
     _BoundFunction,
 )
 from .mcmc import JumpChain, _log_regularized, run_approx_marginal_chain
@@ -477,7 +474,8 @@ def run_mlmc_is(
         )
 
     value = self_normalized_estimate(samples, f_index)
-    asvar = _mlmc_asvar(samples, f_index, value)
+    residuals = weight_residual_series(samples, f_index, value)
+    asvar = float(series_stats(residuals).asymptotic_variance)
     estimate = IsEstimate(
         value=value,
         asvar_total=asvar,
@@ -503,20 +501,4 @@ def run_mlmc_is(
         ledger=ledger,
         levels=np.array(levels, np.int64),
         asvar=asvar,
-    )
-
-
-def _mlmc_asvar(samples, f_index: int, value: float) -> float:
-    """Autocorrelation-corrected variance of the weight residuals."""
-    multiplicities = np.array([s.multiplicity for s in samples], np.int64)
-    xi_one = np.array([s.xi_one for s in samples])
-    xi_f = np.array([s.xi_functions[f_index] for s in samples])
-    mean_unit = float(np.sum(multiplicities * xi_one)) / multiplicities.sum()
-    if mean_unit == 0.0:
-        raise DegenerateEstimatorError(
-            "debiased weights average to zero; increase eps_reg or iterations"
-        )
-    residuals = (xi_f - value * xi_one) / mean_unit
-    return float(
-        series_stats(np.repeat(residuals, multiplicities)).asymptotic_variance
     )

@@ -557,6 +557,43 @@ def test_validate_reads_the_observation_file(tmp_path, capsys):
     assert "(levels 1..1 admissible)" in capsys.readouterr().out
 
 
+def test_validate_warns_when_eps_reg_swamps_the_likelihood(tmp_path, capsys):
+    # 11 observations: the Kalman likelihood stays below 1e-8 at every
+    # prior decile, so with eps_reg = 0.01 the phase-1 chain samples the
+    # prior (its sd is that of U(0, 1))
+    swamped = _edited(_mcmc_is_config(), {"model.simulate": "11"})
+    warning = "warning          log(eps_reg) = -4.605 exceeds the log-likelihood"
+    for algorithm in ("mcmc-is", "da", "compare"):
+        text = _edited(swamped, {"experiment.algorithm": algorithm})
+        assert validate_config(_write(tmp_path, text)) == 0
+        out = capsys.readouterr().out
+        assert warning in out and "(largest -19.29)" in out
+    gaussian = _edited(swamped, _GAUSSIAN_PRIOR)
+    assert validate_config(_write(tmp_path, gaussian)) == 0
+    assert warning in capsys.readouterr().out
+    # mlmc-is probes the level-0 Euler model of the ou family
+    assert validate_config(_write(tmp_path, _MLMC_CONFIG)) == 0
+    assert "(largest -6.066)" in capsys.readouterr().out
+
+    quiet = [
+        _edited(swamped, {"sampler.eps_reg": "1e-10"}),
+        _edited(swamped, {"experiment.algorithm": "pmmh"}),
+        _edited(_MLMC_CONFIG, {"sampler.eps_reg": "1e-5"}),
+    ]
+    for text in quiet:
+        assert validate_config(_write(tmp_path, text)) == 0
+        assert "warning" not in capsys.readouterr().out
+
+
+def test_normal_deciles_are_the_standard_normal_quantiles():
+    from statistics import NormalDist
+
+    from mcis.cli import _NORMAL_DECILES
+
+    want = [NormalDist().inv_cdf(k / 10) for k in range(1, 10)]
+    assert _NORMAL_DECILES == pytest.approx(want, abs=1e-15)
+
+
 def _readme() -> str:
     return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -761,39 +798,56 @@ def test_mlmc_guard_names_every_offender_before_any_coupled_run(
     assert err.count("level ") == len(offenders)
 
 
-# summary.json SHA-256 of the test configs; a change that moves random
-# streams or rounding must update these openly
+# summary.json and trace.jsonl SHA-256 of the test configs (compare
+# writes no trace); a change that moves random streams or rounding must
+# update these openly
 _PINNED_SUMMARIES = [
     ("pf", _PF_CONFIG,
-     "443da2b1dcf90e47a41357e74f24c0cb14271a18f4f0b425b3b4350bcfd3a3d5"),
+     "443da2b1dcf90e47a41357e74f24c0cb14271a18f4f0b425b3b4350bcfd3a3d5",
+     "59b718a48cefb7b491ca3cc5cceec0faadef4a24e091da3938c64fb9b65b6005"),
     ("pf-ou", _edited(_MLMC_CONFIG, {"experiment.algorithm": "pf", "schedule": None,
                                      "sampler.n_particles": "8", "model.level": "2"}),
-     "31af3b2f0c2474e8090c2ccce5ad8df40804b873cbfab7ffc2ef4e794ada8b06"),
+     "31af3b2f0c2474e8090c2ccce5ad8df40804b873cbfab7ffc2ef4e794ada8b06",
+     "5dcacd4cda6fb7ab97806cf27aaf02d90a45e7d78f41aa71239a2a7d0db68a4c"),
     ("pmmh", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = pmmh"),
-     "0e406fa5ea2f3d61a87f95b2538426c83153f5bfd312d92522000782fd4b1cfd"),
+     "0e406fa5ea2f3d61a87f95b2538426c83153f5bfd312d92522000782fd4b1cfd",
+     "557cd62f15e1523778ccd212b54f35950043b469bfb95b9d71e93c68fec118b3"),
     ("da", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = da"),
-     "5e292f21c179abcf19da4e66028a809e6b0d43d566e96c88020f153e95579447"),
+     "5e292f21c179abcf19da4e66028a809e6b0d43d566e96c88020f153e95579447",
+     "42a01c3678835244c866e4b0b0bc495d96853fb40788b20afe089f74274b6f70"),
     ("mcmc-is", _mcmc_is_config(),
-     "d578b20509d4b06984aae83e78ad67577f2fbcd0681911e992b9808e70f05cd7"),
+     "d578b20509d4b06984aae83e78ad67577f2fbcd0681911e992b9808e70f05cd7",
+     "bef745bc72ab9891d716b705785aa54e688ca148dcb28653883528a75f03332f"),
     ("mlmc-is", _MLMC_CONFIG,
-     "25b9f90e81bdc670bb9a94aab6123afcef2685ab697acd9c7ec716d510ec1894"),
+     "25b9f90e81bdc670bb9a94aab6123afcef2685ab697acd9c7ec716d510ec1894",
+     "051a1dcfc5dd03cd9df4453fd593a9296f1c2ee122c989c6a12a09986a9a5d75"),
     ("abc-mcmc", _ABC_CONFIG,
-     "7e6e2c39abff55f10559baca022c644ef4f71f9b4c70b79fedbf02875fc73c5e"),
+     "7e6e2c39abff55f10559baca022c644ef4f71f9b4c70b79fedbf02875fc73c5e",
+     "9dfb405ca71b31ca7f51e56414783bff29a9e73f3e4ef9c00ed43beab31c4aed"),
     ("abc-adaptive", _ABC_ADAPTIVE_CONFIG,
-     "0abf99837ec430cbb98b52bc2bf2940a1f5d43c0e387990411d2eec49b70b6ea"),
+     "0abf99837ec430cbb98b52bc2bf2940a1f5d43c0e387990411d2eec49b70b6ea",
+     "5196fd2eeaf71fc0ba3ce22799cc441dcba3fc3008126c21339be28098b8a90f"),
     ("compare", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = compare")
      .replace("n_iterations = 120", "n_iterations = 150"),
-     "99cc9312e644441823af8e8f2c1dc3c5a0b954d46d6fdb18b750f57fd71cb7ec"),
+     "99cc9312e644441823af8e8f2c1dc3c5a0b954d46d6fdb18b750f57fd71cb7ec",
+     None),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, text, digest", _PINNED_SUMMARIES, ids=[p[0] for p in _PINNED_SUMMARIES]
+    "name, text, digest, trace_digest",
+    _PINNED_SUMMARIES,
+    ids=[p[0] for p in _PINNED_SUMMARIES],
 )
-def test_summary_bytes_are_pinned(tmp_path, capsys, name, text, digest):
+def test_summary_bytes_are_pinned(tmp_path, capsys, name, text, digest, trace_digest):
     out_dir = tmp_path / "out"
     assert run_experiment(_write(tmp_path, text), output_dir=out_dir) == 0
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == digest
+    trace = out_dir / "trace.jsonl"
+    if trace_digest is None:
+        assert not trace.exists()
+    else:
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

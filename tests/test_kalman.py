@@ -186,12 +186,17 @@ def test_scalar_path_matches_matrix_path(
 
 
 def test_scalar_path_fails_like_matrix_path():
-    # a NaN coefficient propagates to a NaN likelihood on both paths
-    model = scalar_ssm(coeff=math.nan)
+    # non-finite parameters fail at construction, before either path runs
+    for bad in ({"coeff": math.nan}, {"trans_var": -math.inf}):
+        with pytest.raises(ParameterError, match="must be finite"):
+            scalar_ssm(**bad)
+    # an overflowing coefficient propagates to a NaN likelihood on both paths
+    model = scalar_ssm(coeff=1e200)
     assert math.isnan(kalman_loglik(model))
-    assert math.isnan(kalman_loglik(_as_1x1(model)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(kalman_loglik(_as_1x1(model)))
     # a non-positive innovation variance fails in the Cholesky factor
-    model = scalar_ssm(trans_var=-math.inf)
+    model = scalar_ssm(init_var=-1e-12, obs_var=1e-13)
     for form in (model, _as_1x1(model)):
         with pytest.raises(np.linalg.LinAlgError):
             kalman_loglik(form)
@@ -221,8 +226,24 @@ def test_variance_checks_agree_for_0d_and_1x1(field, value):
     scalar = _construction_outcome(field, value)
     assert scalar == _construction_outcome(field, np.array([[value]]))
     assert scalar == _construction_outcome(field, np.float64(value))
-    if value == -0.25 or math.isnan(value):
+    if value == -0.25 or not math.isfinite(value):
         assert scalar is not None
+
+
+_FIELDS = [
+    "transition_matrix", "transition_cov", "observation_matrix", "observation_cov",
+    "initial_mean", "initial_cov",
+]
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected_at_construction(field, value):
+    # 0-d, numpy scalar and array forms alike; the array form of the
+    # initial mean is a vector, of every other parameter a 1x1 matrix
+    array = np.array([value]) if field == "initial_mean" else np.array([[value]])
+    for form in (value, np.float64(value), array):
+        assert _construction_outcome(field, form) == f"{field} must be finite"
 
 
 # ---------------------------------------------------------------------------

@@ -121,22 +121,6 @@ def test_propose_moments():
     assert draws.std() == pytest.approx(0.7, rel=0.05)
 
 
-def test_transition_density_is_symmetric_and_normal():
-    cov = np.array([[0.5, 0.2], [0.2, 0.8]])
-    prop = ProposalState(covariance=cov)
-    a, b = np.array([0.1, -0.3]), np.array([0.7, 0.4])
-    assert prop.log_transition_density(a, b) == pytest.approx(
-        prop.log_transition_density(b, a), rel=1e-12
-    )
-    diff = b - a
-    want = (
-        -0.5 * diff @ np.linalg.solve(cov, diff)
-        - 0.5 * math.log(np.linalg.det(cov))
-        - math.log(2 * math.pi)
-    )
-    assert prop.log_transition_density(a, b) == pytest.approx(want, rel=1e-12)
-
-
 def test_frozen_proposal_is_not_adapted():
     prop = ProposalState.isotropic(1).freeze()
     assert adapt_covariance(prop, np.array([5.0]), 3) is prop
@@ -316,27 +300,29 @@ def test_pmmh_iteration_validation():
 def test_da_with_exact_screen_reproduces_pmmh_bitwise():
     # Using the exact likelihood as its own stage-1 screen makes stage 2
     # a certain acceptance that consumes no randomness, so the chain
-    # must equal the single-stage chain draw for draw.
+    # must equal the single-stage chain draw for draw, with and without
+    # a burn-in.
     evaluator = _kalman_evaluator()
-    kwargs = dict(n_iterations=800, n_burn=100)
-    da_trace, _ = run_delayed_acceptance(
-        UNIT_PRIOR,
-        ProposalState.isotropic(1, sd=0.3),
-        evaluator,
-        evaluator,
-        eps_reg=0.0,
-        rng=substream(11, "shared"),
-        **kwargs,
-    )
-    pm_trace, _ = run_pmmh(
-        UNIT_PRIOR,
-        ProposalState.isotropic(1, sd=0.3),
-        evaluator,
-        rng=substream(11, "shared"),
-        **kwargs,
-    )
-    np.testing.assert_array_equal(da_trace.thetas, pm_trace.thetas)
-    np.testing.assert_array_equal(da_trace.accepted, pm_trace.accepted)
+    for n_burn in (0, 50):
+        kwargs = dict(n_iterations=800, n_burn=n_burn)
+        da_trace, _ = run_delayed_acceptance(
+            UNIT_PRIOR,
+            ProposalState.isotropic(1, sd=0.3),
+            evaluator,
+            evaluator,
+            eps_reg=0.0,
+            rng=substream(11, "shared"),
+            **kwargs,
+        )
+        pm_trace, _ = run_pmmh(
+            UNIT_PRIOR,
+            ProposalState.isotropic(1, sd=0.3),
+            evaluator,
+            rng=substream(11, "shared"),
+            **kwargs,
+        )
+        np.testing.assert_array_equal(da_trace.thetas, pm_trace.thetas)
+        np.testing.assert_array_equal(da_trace.accepted, pm_trace.accepted)
 
 
 def test_da_payload_probabilities_are_consistent():
@@ -461,23 +447,31 @@ def test_da_validation():
 
 
 def test_jump_chain_expansion_reproduces_pmmh_bitwise():
+    # with n_burn > 0 the first kept iteration opens a block even when
+    # it rejected, so the expansion starts at the post-burn-in chain
     evaluator = _kalman_evaluator()
-    jump = run_approx_marginal_chain(
-        UNIT_PRIOR,
-        ProposalState.isotropic(1, sd=0.3),
-        evaluator,
-        eps_reg=0.0,
-        n_iterations=600,
-        rng=substream(17, "jump"),
-    )
-    trace, _ = run_pmmh(
-        UNIT_PRIOR,
-        ProposalState.isotropic(1, sd=0.3),
-        evaluator,
-        n_iterations=600,
-        rng=substream(17, "jump"),
-    )
-    np.testing.assert_array_equal(jump.expand_thetas(), trace.thetas)
+    for n_burn in (0, 50):
+        jump = run_approx_marginal_chain(
+            UNIT_PRIOR,
+            ProposalState.isotropic(1, sd=0.3),
+            evaluator,
+            eps_reg=0.0,
+            n_iterations=600,
+            rng=substream(17, "jump"),
+            n_burn=n_burn,
+        )
+        trace, _ = run_pmmh(
+            UNIT_PRIOR,
+            ProposalState.isotropic(1, sd=0.3),
+            evaluator,
+            n_iterations=600,
+            rng=substream(17, "jump"),
+            n_burn=n_burn,
+        )
+        np.testing.assert_array_equal(jump.expand_thetas(), trace.post_burn_in())
+        np.testing.assert_array_equal(
+            jump.logliks, trace.logliks[n_burn:][np.cumsum(jump.holding_times) - 1]
+        )
 
 
 def test_jump_chain_structure():

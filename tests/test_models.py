@@ -1,5 +1,5 @@
-"""Forward models: Euler-discretized diffusions, reaction networks, and
-the likelihood-free toys.
+"""Forward models: Euler-discretized diffusions and the likelihood-free
+toys.
 
 The mean-reverting linear-drift diffusion doubles as an exact oracle:
 its Euler substeps compose to a linear-Gaussian transition per observed
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from mcis.errors import NumericalOverflowError, ParameterError
 from mcis.models.abc_model import (
     GaussianLocationAbc,
-    LotkaVolterraAbc,
     gaussian_abc_likelihood,
 )
 from mcis.models.diffusion import (
@@ -34,7 +33,6 @@ from mcis.models.diffusion import (
     ou_exact_lgssm,
     ou_level_lgssm,
 )
-from mcis.models.gillespie import GillespiePath, Stoichiometry, gillespie_simulate
 from mcis.rng import substream
 from mcis.smc import _coupled_potential
 
@@ -225,102 +223,6 @@ def test_overflowing_update_raises_with_context():
 
 
 # ---------------------------------------------------------------------------
-# Reaction-network simulation
-
-
-def _pure_death(rate=1.0):
-    return Stoichiometry(reactants=[[1]], changes=[[-1]]), np.array([rate])
-
-
-def test_pure_death_mean_matches_thinning():
-    # Each individual dies independently at the given rate, so the count
-    # at time t is binomial with survival probability exp(-rate*t).
-    stoich, rates = _pure_death(rate=1.0)
-    n0, t_end, reps = 20, 1.0, 1500
-    rng = substream(3, "death")
-    finals = np.array(
-        [
-            gillespie_simulate(rates, stoich, [n0], t_end, rng).end_state[0]
-            for _ in range(reps)
-        ],
-        dtype=float,
-    )
-    p = math.exp(-t_end)
-    se = math.sqrt(n0 * p * (1 - p) / reps)
-    assert finals.mean() == pytest.approx(n0 * p, abs=4 * se)
-
-
-def test_immigration_count_is_poisson():
-    stoich = Stoichiometry(reactants=[[0]], changes=[[1]])
-    rate, t_end, reps = 3.0, 2.0, 1500
-    rng = substream(4, "imm")
-    finals = np.array(
-        [
-            gillespie_simulate([rate], stoich, [0], t_end, rng).end_state[0]
-            for _ in range(reps)
-        ],
-        dtype=float,
-    )
-    mean = rate * t_end
-    se = math.sqrt(mean / reps)
-    assert finals.mean() == pytest.approx(mean, abs=4 * se)
-    assert finals.var() == pytest.approx(mean, rel=0.15)
-
-
-def test_event_times_increase_and_states_step_by_stoichiometry():
-    stoich, rates = _pure_death()
-    path = gillespie_simulate(rates, stoich, [10], 5.0, substream(5, "path"))
-    assert np.all(np.diff(path.times) > 0)
-    np.testing.assert_array_equal(np.diff(path.states, axis=0), -1)
-
-
-def test_extinct_state_is_absorbing():
-    stoich, rates = _pure_death()
-    path = gillespie_simulate(rates, stoich, [0], 10.0, substream(0, "x"))
-    assert path.times.shape == (1,)
-    assert path.end_state[0] == 0
-    assert path.state_at(7.3)[0] == 0
-
-
-def test_second_order_propensity_needs_two_molecules():
-    # A dimerization reaction has propensity k * n * (n - 1): with a
-    # single molecule it can never fire.
-    stoich = Stoichiometry(reactants=[[2]], changes=[[-2]])
-    path = gillespie_simulate([5.0], stoich, [1], 100.0, substream(1, "dim"))
-    assert path.times.shape == (1,)
-    assert path.end_state[0] == 1
-
-
-def test_state_at_is_right_continuous():
-    path = GillespiePath(
-        times=np.array([0.0, 1.0, 2.0]),
-        states=np.array([[0], [1], [2]]),
-    )
-    assert path.state_at(0.5)[0] == 0
-    assert path.state_at(1.0)[0] == 1
-    assert path.state_at(2.5)[0] == 2
-
-
-def test_max_events_caps_the_path():
-    stoich = Stoichiometry(reactants=[[0]], changes=[[1]])
-    path = gillespie_simulate([1e6], stoich, [0], 1.0, substream(2, "cap"), max_events=5)
-    assert path.times.shape == (6,)  # initial row plus five events
-
-
-def test_gillespie_validation():
-    stoich, _ = _pure_death()
-    rng = substream(0, "v")
-    with pytest.raises(ParameterError):
-        gillespie_simulate([-1.0], stoich, [5], 1.0, rng)
-    with pytest.raises(ParameterError):
-        gillespie_simulate([1.0], stoich, [-5], 1.0, rng)
-    with pytest.raises(ParameterError):
-        Stoichiometry(reactants=[[1]], changes=[[-1], [1]])
-    with pytest.raises(ParameterError):
-        Stoichiometry(reactants=[[-1]], changes=[[1]])
-
-
-# ---------------------------------------------------------------------------
 # Likelihood-free toys
 
 
@@ -372,18 +274,3 @@ def test_gaussian_location_simulate_and_distance():
     assert model.distance(0.8, 0.8) == 0.0
     assert model.distance(0.2, 0.9) == model.distance(0.9, 0.2)
     assert model.distance(0.2, 0.9) == pytest.approx(0.7)
-
-
-def test_predator_prey_simulates_observation_vector():
-    model = LotkaVolterraAbc(
-        init=(50, 100),
-        obs_times=(0.5, 1.0),
-        y_star=None,
-        max_events=50_000,
-    )
-    out = model.simulate(np.log([1.0, 0.005, 0.6]), substream(7, "lv"))
-    assert out.shape == (4,)  # two species at two times
-    assert np.all(out >= 0)
-    assert model.distance(out, out) == 0.0
-    other = out + 1.0
-    assert model.distance(out, other) == pytest.approx(model.distance(other, out))
