@@ -53,7 +53,6 @@ from .is_correction import (
     estimate_asvar_decomposition,
     run_mcmc_is,
     self_normalized_estimate,
-    thin_jump_chain,
 )
 from .mcmc import (
     ChainTrace,
@@ -64,7 +63,6 @@ from .mcmc import (
     ProposalState,
     UniformPrior,
     adapt_covariance,
-    particle_likelihood_runner,
     propose,
     run_approx_marginal_chain,
     run_delayed_acceptance,
@@ -78,7 +76,6 @@ from .multilevel import (
     build_schedule,
     ire,
     randomized_smoother_estimate,
-    realized_length,
     run_mlmc_is,
     sample_level,
 )
@@ -121,7 +118,6 @@ __all__ = [
     "ChainTrace",
     "JumpChain",
     "LikelihoodEvaluation",
-    "particle_likelihood_runner",
     "run_pmmh",
     "run_delayed_acceptance",
     "run_approx_marginal_chain",
@@ -135,7 +131,6 @@ __all__ = [
     "self_normalized_estimate",
     "effective_sample_size",
     "estimate_asvar_decomposition",
-    "thin_jump_chain",
     "run_mcmc_is",
     # multilevel / debiasing
     "LevelSchedule",
@@ -144,7 +139,6 @@ __all__ = [
     "RandomizedEstimate",
     "randomized_smoother_estimate",
     "CostLedger",
-    "realized_length",
     "ire",
     "MlmcIsResult",
     "run_mlmc_is",

@@ -64,7 +64,6 @@ from .mcmc import (
     GaussianPrior,
     ProposalState,
     UniformPrior,
-    particle_likelihood_runner,
     run_delayed_acceptance,
     run_pmmh,
 )
@@ -683,7 +682,7 @@ def _chain_records(trace):
 
 
 def _particle_runner(config: ExperimentConfig, setup: _Setup):
-    return particle_likelihood_runner(
+    return ParticleSmootherRunner(
         setup.family, config.sampler["n_particles"], scheme=config.sampler["scheme"]
     )
 
@@ -713,11 +712,7 @@ def _mcmc_is(config: ExperimentConfig, setup: _Setup, streams: KeyedStreams, n_w
         setup.prior,
         setup.proposal,
         KalmanLikelihood(setup.family),
-        ParticleSmootherRunner(
-            model_family=setup.family,
-            n_particles=sampler["n_particles"],
-            scheme=sampler["scheme"],
-        ),
+        _particle_runner(config, setup),
         sampler["eps_reg"],
         sampler["n_iterations"],
         streams,
@@ -794,7 +789,7 @@ def _drive_mlmc_is(config, setup, streams, n_workers):
     results["n_jump_states"] = len(result.jump_chain)
     results["total_cost"] = result.ledger.total_cost
     results["mean_cost"] = result.ledger.mean_cost
-    results["ire"] = ire(result.ledger, result.asvar)
+    results["ire"] = ire(result.ledger, result.estimate.asvar_total)
     results["max_level"] = int(result.levels.max())
     unique_levels, counts = np.unique(result.levels, return_counts=True)
     results["level_counts"] = [

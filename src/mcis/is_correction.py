@@ -6,12 +6,20 @@ importance weight
 
     xi_j(phi) = p_hat_j(phi) / (L0_hat_j + eps),
 
-where ``p_hat_j`` is an unbiased particle estimate of the exact-model
+where ``p_hat_j`` is an unbiased estimate of the exact-model
 unnormalized smoother at that state and ``L0_hat_j`` the cached
 realized approximate likelihood.  Holding times reweight the distinct
 states back to the full chain, and the self-normalized ratio of the
 weighted test function to the weighted constant corrects the bias of
 the approximate target.
+
+Any unbiased estimator gives valid weights.  `compute_is_weights` uses
+particle filters run by `ParticleSmootherRunner`, the one parameter-to-
+filter evaluator (it is also the exact stage of PMMH and delayed
+acceptance); `mcis.multilevel.run_mlmc_is` uses debiased, possibly
+negative multilevel estimates.  Both turn their raw weights into
+samples and an estimate through `weighted_samples` and
+`correction_estimate`.
 
 Weight computation is embarrassingly parallel across (state, replicate)
 pairs; random streams are keyed by those indices, so results are
@@ -21,8 +29,9 @@ bit-identical under any worker count or evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,11 +52,12 @@ __all__ = [
     "McmcIsResult",
     "ParticleSmootherRunner",
     "compute_is_weights",
+    "weighted_samples",
+    "correction_estimate",
     "self_normalized_estimate",
     "estimate_asvar_decomposition",
     "weight_residual_series",
     "effective_sample_size",
-    "thin_jump_chain",
     "run_mcmc_is",
 ]
 
@@ -64,8 +74,8 @@ class IsWeightedSample:
     ``xi_replicates`` holds the raw per-replicate weights, one row per
     replicate: column 0 is the constant-function weight, later columns
     follow the declared test functions.  ``xi_one`` and
-    ``xi_functions`` are their replicate means.  Weights are
-    nonnegative here; only the multilevel variant can go negative.
+    ``xi_functions`` are their replicate means.  Particle weights are
+    nonnegative; multilevel (debiased) weights can go negative.
     """
 
     index: int
@@ -111,41 +121,34 @@ class McmcIsResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact-model smoother runner
+# The particle-filter evaluator
 
 
 @dataclass(frozen=True, eq=False)
 class ParticleSmootherRunner:
-    """Particle-filter evaluator usable from worker processes.
+    """Particle-filter evaluator at a parameter point (picklable, so
+    usable from worker processes).
 
-    ``model_family(theta)`` builds the exact Feynman-Kac model;
-    calling the runner returns the smoother estimate at ``theta`` for
-    the given test functions (callables of ``(theta, final states)``).
+    ``model_family(theta)`` builds the Feynman-Kac model; calling the
+    runner with ``(theta, rng)`` runs the filter there and returns its
+    `SmootherEstimate` of ``test_functions`` (callables of ``(theta,
+    final states)``).  As a Metropolis stage it gives the log
+    normalizer as the log likelihood, the first test function's
+    self-normalized value as the functional, and the estimate as the
+    payload.
     """
 
     model_family: Callable
     n_particles: int
     scheme: str = "systematic"
+    test_functions: tuple = ()
 
-    def __call__(self, theta, test_functions, rng) -> SmootherEstimate:
-        model = self.model_family(theta)
-        bound = [_BoundFunction(f, theta) for f in test_functions]
+    def __call__(self, theta, rng) -> SmootherEstimate:
         _, estimate = run_particle_filter(
-            model, self.n_particles, scheme=self.scheme, rng=rng,
-            test_functions=bound,
+            self.model_family(theta), self.n_particles, scheme=self.scheme, rng=rng,
+            test_functions=[partial(f, theta) for f in self.test_functions],
         )
         return estimate
-
-
-@dataclass(frozen=True, eq=False)
-class _BoundFunction:
-    """Test function with the parameter point bound in (picklable)."""
-
-    func: Callable
-    theta: np.ndarray
-
-    def __call__(self, states):
-        return self.func(self.theta, states)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +156,10 @@ class _BoundFunction:
 
 
 def _weight_task(task):
-    exact_pf, theta, funcs, streams, index, replicate = task
+    evaluate, theta, streams, index, replicate = task
     rng = streams.stream("is_weights", index, replicate)
     try:
-        return exact_pf(theta, funcs, rng)
+        return evaluate(theta, rng)
     except Exception as exc:  # attach the state's position for diagnosis
         raise ModelEvaluationError(
             f"exact-model evaluation failed at jump state {index}: {exc}"
@@ -165,7 +168,7 @@ def _weight_task(task):
 
 def compute_is_weights(
     jump: JumpChain,
-    exact_pf: Callable,
+    exact_pf: ParticleSmootherRunner,
     eps_reg: float,
     test_functions: Sequence[Callable],
     replicates: int,
@@ -176,10 +179,11 @@ def compute_is_weights(
 
     For each state, ``replicates`` independent exact-model smoother
     estimates are computed (averaged into the reported weights) on
-    random streams keyed by (state index, replicate index).  The
-    constant function is always evaluated alongside ``test_functions``,
-    through the same code path, so constant-function cancellations are
-    exact.
+    random streams keyed by (state index, replicate index).
+    ``exact_pf`` runs with the constant function followed by
+    ``test_functions`` in place of its own test functions, so the
+    constant goes through the same code path and constant-function
+    cancellations are exact.
 
     With ``n_workers > 1`` evaluation fans out over processes, so
     ``exact_pf`` and the test functions must be picklable; results are
@@ -198,25 +202,33 @@ def compute_is_weights(
             "every cached approximate likelihood must be positive after "
             "regularization; increase eps_reg"
         )
-    funcs = [constant_one, *test_functions]
+    evaluate = replace(exact_pf, test_functions=(constant_one, *test_functions))
     tasks = [
-        (exact_pf, jump.thetas[j], funcs, rng_streams, j, r)
+        (evaluate, jump.thetas[j], rng_streams, j, r)
         for j in range(len(jump))
         for r in range(replicates)
     ]
     estimates = list(ordered_map(_weight_task, tasks, n_workers=n_workers))
-
-    samples = []
-    for j in range(len(jump)):
-        block = estimates[j * replicates : (j + 1) * replicates]
-        # ratio in log domain first: the normalizers may underflow as
-        # plain floats while their ratio is moderate
-        xi = np.array(
+    # ratio in log domain first: the normalizers may underflow as plain
+    # floats while their ratio is moderate
+    xis = [
+        np.array(
             [
                 np.exp(e.log_normalizer - log_denominators[j]) * e.self_normalized
-                for e in block
+                for e in estimates[j * replicates : (j + 1) * replicates]
             ]
-        )  # (R, 1 + F)
+        )
+        for j in range(len(jump))
+    ]
+    return weighted_samples(jump, xis)
+
+
+def weighted_samples(jump: JumpChain, xis: Sequence[np.ndarray]) -> list[IsWeightedSample]:
+    """One sample per jump state from its raw weights ``xis[j]``, an
+    ``(R, 1 + F)`` array: one row per replicate, the constant function
+    in column 0."""
+    samples = []
+    for j, xi in enumerate(xis):
         xi_mean = xi.mean(axis=0)
         samples.append(
             IsWeightedSample(
@@ -224,7 +236,7 @@ def compute_is_weights(
                 multiplicity=int(jump.holding_times[j]),
                 xi_one=float(xi_mean[0]),
                 xi_functions=xi_mean[1:],
-                replicates=replicates,
+                replicates=xi.shape[0],
                 xi_replicates=xi,
             )
         )
@@ -262,16 +274,11 @@ def self_normalized_estimate(
     return numerator / denominator
 
 
-def weight_residual_series(
-    samples: Sequence[IsWeightedSample], f_index: int, value: float
-) -> np.ndarray:
+def _residuals(samples: Sequence[IsWeightedSample], f_index: int, value: float) -> np.ndarray:
     """Delta-method residuals ``(xi(f) - value * xi(1)) / mean unit
-    weight``, one per chain iteration (each state's repeated by its
-    holding time); their asymptotic variance is that of the
-    self-normalized estimate ``value``."""
+    weight`` of every state and replicate, shape ``(states, R)``."""
     multiplicities = np.array([s.multiplicity for s in samples], np.int64)
     xi_one = np.array([s.xi_one for s in samples])
-    xi_f = np.array([s.xi_functions[f_index] for s in samples])
     mean_unit = float(np.sum(multiplicities * xi_one)) / multiplicities.sum()
     if mean_unit == 0.0:
         # only signed (debiased) weights get here: nonnegative ones that
@@ -279,7 +286,17 @@ def weight_residual_series(
         raise DegenerateEstimatorError(
             "debiased weights average to zero; increase eps_reg or iterations"
         )
-    return np.repeat((xi_f - value * xi_one) / mean_unit, multiplicities)
+    xi = np.array([s.xi_replicates for s in samples])  # (states, R, 1 + F)
+    return (xi[:, :, 1 + f_index] - value * xi[:, :, 0]) / mean_unit
+
+
+def weight_residual_series(
+    samples: Sequence[IsWeightedSample], f_index: int, value: float
+) -> np.ndarray:
+    """Replicate-mean delta-method residuals, one per chain iteration
+    (each state's repeated by its holding time); their asymptotic
+    variance is that of the self-normalized estimate ``value``."""
+    return _expanded(samples, _residuals(samples, f_index, value).mean(axis=1))
 
 
 def effective_sample_size(samples: Sequence[IsWeightedSample]) -> float:
@@ -296,16 +313,12 @@ def estimate_asvar_decomposition(
     """Split the estimator's asymptotic variance into chain and
     correction components.
 
-    Per state, the replicate values of the delta-method residual
-
-        g = (xi(f) - estimate * xi(1)) / mean-unit-weight
-
-    are formed.  The correction component is the holding-time-weighted
-    average of the within-state replicate variances (divided by the
-    replicate count actually averaged); the chain component is the
-    autocorrelation-corrected variance of the per-state means over the
-    expanded chain, minus the correction component (floored at zero so
-    both components are nonnegative and sum to the total).
+    The total is that of `weight_residual_series`.  The correction
+    component is the holding-time-weighted average of the within-state
+    replicate variances of the residuals (divided by the replicate
+    count averaged); the chain component is the total minus the
+    correction component (floored at zero so both components are
+    nonnegative and sum to the total).
 
     With a single replicate the split is unavailable and the total is
     returned alone, as ``(total, None)``.
@@ -317,61 +330,40 @@ def estimate_asvar_decomposition(
         raise ParameterError("samples must share one replicate count")
     n_reps = replicates.pop()
 
-    estimate = self_normalized_estimate(samples, f_index)
-    multiplicities = np.array([s.multiplicity for s in samples], np.int64)
-    total_length = int(multiplicities.sum())
-    xi_one = np.array([s.xi_one for s in samples])
-    mean_unit = float(np.sum(multiplicities * xi_one)) / total_length
-    if mean_unit == 0.0:
-        raise DegenerateEstimatorError("importance weights sum to zero")
-
-    residual_means = np.empty(len(samples))
-    within = np.empty(len(samples))
-    for j, sample in enumerate(samples):
-        rep = sample.xi_replicates
-        g = (rep[:, 1 + f_index] - estimate * rep[:, 0]) / mean_unit
-        residual_means[j] = g.mean()
-        within[j] = g.var(ddof=1) if n_reps >= 2 else math.nan
-
-    total = series_stats(
-        np.repeat(residual_means, multiplicities)
-    ).asymptotic_variance
-    if n_reps < 2:
-        return float(total), None
-    correction = float(
-        np.sum(multiplicities * within) / (n_reps * total_length)
+    residuals = _residuals(samples, f_index, self_normalized_estimate(samples, f_index))
+    total = float(
+        series_stats(_expanded(samples, residuals.mean(axis=1))).asymptotic_variance
     )
-    correction = min(correction, float(total))
-    chain = float(total) - correction
-    return chain, correction
+    if n_reps < 2:
+        return total, None
+    multiplicities = np.array([s.multiplicity for s in samples], np.int64)
+    within = residuals.var(axis=1, ddof=1)
+    correction = float(
+        np.sum(multiplicities * within) / (n_reps * int(multiplicities.sum()))
+    )
+    correction = min(correction, total)
+    return total - correction, correction
 
 
-def thin_jump_chain(jump: JumpChain, factor: int) -> JumpChain:
-    """Every ``factor``-th iteration of the expanded chain, re-grouped.
-
-    Equivalent to thinning the full trace and rebuilding holding times;
-    states whose block the thinning skips entirely drop out.
-    """
-    if factor < 1:
-        raise ParameterError("thinning factor must be >= 1")
-    if factor == 1:
-        return jump
-    expanded = np.repeat(np.arange(len(jump)), jump.holding_times)
-    kept = expanded[::factor]
-    if kept.size == 0:
-        raise ParameterError("thinning removed every iteration")
-    boundaries = np.flatnonzero(np.diff(kept)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [kept.size]])
-    state_idx = kept[starts]
-    payloads = None
-    if jump.payloads is not None:
-        payloads = [jump.payloads[i] for i in state_idx]
-    return JumpChain(
-        thetas=jump.thetas[state_idx],
-        logliks=jump.logliks[state_idx],
-        holding_times=(ends - starts).astype(np.int64),
-        payloads=payloads,
+def correction_estimate(
+    jump: JumpChain, samples: Sequence[IsWeightedSample], f_index: int
+) -> IsEstimate:
+    """Self-normalized estimate of test function ``f_index`` from the
+    weighted jump states, with its variance attribution and ESS."""
+    value = self_normalized_estimate(samples, f_index)
+    first, correction = estimate_asvar_decomposition(jump, samples, f_index)
+    if correction is None:
+        total, chain = first, None
+    else:
+        total, chain = first + correction, first
+    return IsEstimate(
+        value=value,
+        asvar_total=total,
+        asvar_chain=chain,
+        asvar_correction=correction,
+        ess=effective_sample_size(samples),
+        n_iterations=jump.total_length,
+        replicates=samples[0].replicates,
     )
 
 
@@ -383,7 +375,7 @@ def run_mcmc_is(
     prior,
     proposal,
     approx_lik: Callable,
-    exact_pf: Callable,
+    exact_pf: ParticleSmootherRunner,
     eps_reg: float,
     n_iterations: int,
     streams: KeyedStreams,
@@ -416,19 +408,5 @@ def run_mcmc_is(
         jump, exact_pf, eps_reg, test_functions, replicates, streams,
         n_workers=n_workers,
     )
-    value = self_normalized_estimate(samples, f_index)
-    chain_var, correction_var = estimate_asvar_decomposition(jump, samples, f_index)
-    if correction_var is None:
-        total, chain_var = chain_var, None
-    else:
-        total = chain_var + correction_var
-    estimate = IsEstimate(
-        value=value,
-        asvar_total=total,
-        asvar_chain=chain_var,
-        asvar_correction=correction_var,
-        ess=effective_sample_size(samples),
-        n_iterations=jump.total_length,
-        replicates=replicates,
-    )
+    estimate = correction_estimate(jump, samples, f_index)
     return McmcIsResult(jump_chain=jump, samples=samples, estimate=estimate)

@@ -14,6 +14,10 @@ once the stage before it accepted.  The three samplers are stage lists:
   alone, regrouped into a jump chain for later importance-sampling
   correction.
 
+A likelihood evaluator maps ``(theta, rng)`` to a log likelihood or to
+a `SmootherEstimate`; the particle-filter evaluator is
+`mcis.is_correction.ParticleSmootherRunner`.
+
 Acceptance ratios are computed entirely in log domain and the tests
 draw log-uniforms.  Proposal covariance adapts during a declared
 burn-in and then freezes, so post-burn-in chains are plain Markov.
@@ -29,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InitializationError, ParameterError, SupportConditionError
-from .smc import run_particle_filter
+from .smc import SmootherEstimate
 
 __all__ = [
     "Prior",
@@ -41,7 +45,6 @@ __all__ = [
     "ChainTrace",
     "JumpChain",
     "LikelihoodEvaluation",
-    "particle_likelihood_runner",
     "run_pmmh",
     "run_delayed_acceptance",
     "run_approx_marginal_chain",
@@ -323,46 +326,16 @@ class LikelihoodEvaluation:
 
 
 def _as_evaluation(result) -> LikelihoodEvaluation:
-    if isinstance(result, LikelihoodEvaluation):
-        return result
-    if isinstance(result, tuple):
-        log_lik, payload = result
-        return LikelihoodEvaluation(float(log_lik), payload=payload)
+    """An evaluator's result as a `LikelihoodEvaluation`: a float is the
+    log likelihood; a `SmootherEstimate` gives its log normalizer, its
+    first self-normalized value as the functional (NaN without test
+    functions) and itself as the payload."""
+    if isinstance(result, SmootherEstimate):
+        functional = (
+            float(result.self_normalized[0]) if result.self_normalized.size else math.nan
+        )
+        return LikelihoodEvaluation(result.log_normalizer, functional, result)
     return LikelihoodEvaluation(float(result))
-
-
-def particle_likelihood_runner(
-    model_family: Callable[[np.ndarray], Any],
-    n_particles: int,
-    scheme: str = "systematic",
-    test_function: Callable | None = None,
-):
-    """Build a likelihood evaluator backed by the particle filter.
-
-    ``model_family(theta)`` must return the Feynman-Kac model at
-    ``theta``.  The returned callable maps ``(theta, rng)`` to a
-    `LikelihoodEvaluation` whose payload is the smoother estimate and
-    whose functional is the self-normalized value of ``test_function``
-    (a callable of ``(theta, final states)`` returning per-particle
-    values).
-    """
-
-    def runner(theta, rng) -> LikelihoodEvaluation:
-        model = model_family(theta)
-        funcs = []
-        if test_function is not None:
-            funcs = [lambda states: test_function(theta, states)]
-        _, estimate = run_particle_filter(
-            model, n_particles, scheme=scheme, rng=rng, test_functions=funcs
-        )
-        functional = float(estimate.self_normalized[0]) if funcs else math.nan
-        return LikelihoodEvaluation(
-            log_likelihood=estimate.log_normalizer,
-            functional=functional,
-            payload=estimate,
-        )
-
-    return runner
 
 
 def _log_regularized(log_likelihood: float, eps_reg: float) -> float:
@@ -532,8 +505,9 @@ def run_pmmh(
 ) -> tuple[ChainTrace, float]:
     """Pseudo-marginal Metropolis-Hastings over a likelihood estimator.
 
-    ``pf_runner(theta, rng)`` returns the (unbiasedly estimated) log
-    likelihood plus the current test-function value; any nonnegative
+    ``pf_runner(theta, rng)`` returns an unbiased likelihood estimate,
+    as a `SmootherEstimate` whose first test function gives the chain's
+    functional, or as a plain log likelihood; any nonnegative
     unbiased estimator keeps the exact posterior invariant.  The chain
     estimator averages the per-iteration functional over post-burn-in
     iterations (NaN when the runner declares no test function).

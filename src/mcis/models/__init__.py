@@ -14,7 +14,6 @@ from .diffusion import (
     GeometricBrownian,
     LinearDrift,
     coupled_euler_interval,
-    euler_step,
     ou_exact_lgssm,
     ou_level_lgssm,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "EulerDiffusionModel",
     "CoupledEulerModel",
     "DiffusionFamily",
-    "euler_step",
     "coupled_euler_interval",
     "ou_level_lgssm",
     "ou_exact_lgssm",

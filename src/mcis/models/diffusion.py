@@ -34,7 +34,6 @@ __all__ = [
     "EulerDiffusionModel",
     "CoupledEulerModel",
     "DiffusionFamily",
-    "euler_step",
     "coupled_euler_interval",
     "ou_level_lgssm",
     "ou_exact_lgssm",
@@ -178,19 +177,6 @@ class EulerDiffusionModel(FeynmanKacModel):
         return -0.5 * (resid * resid) / self.obs_var - 0.5 * math.log(
             2.0 * math.pi * self.obs_var
         )
-
-
-def euler_step(model: EulerDiffusionModel, x, dW):
-    """One deterministic Euler update ``x + a(x) h + b(x) dW``.
-
-    The increment ``dW`` must be drawn with variance ``model.mesh`` by
-    the caller; the operation itself involves no randomness.
-    """
-    h = model.mesh
-    theta = model.theta
-    out = x + model.dynamics.drift(theta, x) * h + model.dynamics.diffusion(theta, x) * dW
-    _check_finite(out, theta, model.level)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,12 @@ that level, divides by the level's probability, and adds an independent
 level-0 estimate: in expectation the telescoping sum reproduces the
 exact-dynamics (infinite-resolution) unnormalized smoother.
 
-The two-phase driver follows the importance-correction pattern: a
-level-0 marginal chain first, then per-state debiased weights that may
-be negative.  Costs are tracked in particle-substep units so efficiency
+The two-phase driver is importance correction with a different weight
+estimator: a level-0 marginal chain first (its likelihood is the
+`ParticleSmootherRunner` over the level-0 model), then per-state
+debiased weights that may be negative, turned into samples and an
+estimate by the same `mcis.is_correction` code as particle weights.
+Costs are tracked in particle-substep units so efficiency
 comparisons don't depend on wall-clock noise.
 """
 
@@ -16,20 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import series_stats
 from .errors import ParameterError, ResourceGuardError
 from .is_correction import (
     IsEstimate,
-    IsWeightedSample,
+    ParticleSmootherRunner,
     constant_one,
-    effective_sample_size,
-    self_normalized_estimate,
-    weight_residual_series,
-    _BoundFunction,
+    correction_estimate,
+    weighted_samples,
 )
 from .mcmc import JumpChain, _log_regularized, run_approx_marginal_chain
 from .models.diffusion import DiffusionFamily
@@ -45,7 +46,6 @@ __all__ = [
     "RandomizedEstimate",
     "randomized_smoother_estimate",
     "CostLedger",
-    "realized_length",
     "ire",
     "MlmcIsResult",
     "run_mlmc_is",
@@ -259,12 +259,10 @@ class CostLedger:
     ``costs[k]`` is the work attributed to chain iteration ``k``:
     level-0 filtering is spread uniformly, while each state's coupled
     difference run is booked at the first iteration of its holding
-    block.  Cumulative cost is exact summation, so budget truncation is
-    reproducible.
+    block.
     """
 
     costs: np.ndarray
-    budget: float | None = None
 
     def __post_init__(self):
         costs = np.asarray(self.costs, float)
@@ -277,9 +275,6 @@ class CostLedger:
     def __len__(self) -> int:
         return self.costs.size
 
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.costs)
-
     @property
     def total_cost(self) -> float:
         return float(self.costs.sum())
@@ -287,13 +282,6 @@ class CostLedger:
     @property
     def mean_cost(self) -> float:
         return float(self.costs.mean())
-
-
-def realized_length(ledger: CostLedger, kappa: float) -> int:
-    """Longest prefix of the chain affordable within budget ``kappa``."""
-    if kappa < 0:
-        raise ParameterError("budget must be nonnegative")
-    return int(np.searchsorted(ledger.cumulative(), kappa, side="right"))
 
 
 def ire(ledger: CostLedger, asvar: float) -> float:
@@ -304,32 +292,6 @@ def ire(ledger: CostLedger, asvar: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Two-phase driver
-
-
-@dataclass(frozen=True, eq=False)
-class _LevelZeroLikelihood:
-    """Level-0 particle likelihood for the phase-1 chain (picklable).
-
-    The payload is the full smoother estimate — its values are reused
-    verbatim in phase 2, keeping the weight denominators identical to
-    the accepted acceptance-ratio terms.
-    """
-
-    family: DiffusionFamily
-    n_base: int
-    test_functions: tuple
-    scheme: str = "systematic"
-
-    def __call__(self, theta, rng):
-        funcs = [_BoundFunction(f, theta) for f in (constant_one, *self.test_functions)]
-        _, estimate = run_particle_filter(
-            self.family.level_model(theta, 0),
-            self.n_base,
-            scheme=self.scheme,
-            rng=rng,
-            test_functions=funcs,
-        )
-        return estimate.log_normalizer, estimate
 
 
 def _check_levels(schedule, levels, n_intervals, guard):
@@ -363,12 +325,11 @@ def _delta_task(task):
     # replays the level run_mlmc_is drew and checked; holding every
     # state's generator from then on would cost ~1.8 kB per state
     level = sample_level(schedule, rng)
-    bound = [_BoundFunction(f, theta) for f in funcs]
     return run_delta_pf(
         family.coupled_model(theta, level),
         schedule.particle_count(level),
         rng=rng,
-        test_functions=bound,
+        test_functions=[partial(f, theta) for f in funcs],
     )
 
 
@@ -381,7 +342,6 @@ class MlmcIsResult:
     estimate: IsEstimate
     ledger: CostLedger
     levels: np.ndarray
-    asvar: float
 
     def iteration_records(self):
         """One JSON-safe dict per distinct state (phase-2 ledger)."""
@@ -430,13 +390,18 @@ def run_mlmc_is(
             "debiased weights need a positive regularization: the level-0 "
             "normalizer can vanish where the exact likelihood does not"
         )
-    approx = _LevelZeroLikelihood(
-        family=family, n_base=schedule.n_base, test_functions=tuple(test_functions)
+    # the level-0 smoother estimates are the payload: phase 2 reuses
+    # them verbatim, so the weight denominators are the accepted
+    # acceptance-ratio terms
+    level_zero = ParticleSmootherRunner(
+        partial(family.level_model, level=0),
+        schedule.n_base,
+        test_functions=(constant_one, *test_functions),
     )
     jump = run_approx_marginal_chain(
         prior,
         proposal,
-        approx,
+        level_zero,
         eps_reg,
         n_iterations,
         streams.stream("phase1"),
@@ -453,7 +418,7 @@ def run_mlmc_is(
     ]
     deltas = ordered_map(_delta_task, tasks, n_workers=n_workers)
 
-    samples = []
+    xis = []
     for j, (level, delta) in enumerate(zip(levels, deltas)):
         payload = jump.payloads[j]  # level-0 smoother estimate from phase 1
         denominator = math.exp(_log_regularized(jump.logliks[j], eps_reg))
@@ -461,30 +426,8 @@ def run_mlmc_is(
         numerators = np.concatenate(
             [[delta.value_one], delta.values]
         ) / probability + payload.values
-        xi = numerators / denominator
-        samples.append(
-            IsWeightedSample(
-                index=j,
-                multiplicity=int(jump.holding_times[j]),
-                xi_one=float(xi[0]),
-                xi_functions=xi[1:].copy(),
-                replicates=1,
-                xi_replicates=xi.reshape(1, -1),
-            )
-        )
-
-    value = self_normalized_estimate(samples, f_index)
-    residuals = weight_residual_series(samples, f_index, value)
-    asvar = float(series_stats(residuals).asymptotic_variance)
-    estimate = IsEstimate(
-        value=value,
-        asvar_total=asvar,
-        asvar_chain=None,
-        asvar_correction=None,
-        ess=effective_sample_size(samples),
-        n_iterations=jump.total_length,
-        replicates=1,
-    )
+        xis.append((numerators / denominator).reshape(1, -1))
+    samples = weighted_samples(jump, xis)
 
     # phase-1 filtering is one level-0 run per iteration; each coupled
     # run is charged to the first iteration of its block
@@ -497,8 +440,7 @@ def run_mlmc_is(
     return MlmcIsResult(
         jump_chain=jump,
         samples=samples,
-        estimate=estimate,
+        estimate=correction_estimate(jump, samples, f_index),
         ledger=ledger,
         levels=np.array(levels, np.int64),
-        asvar=asvar,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 __all__ = ["ordered_map", "worker_count"]
 

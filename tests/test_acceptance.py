@@ -29,7 +29,6 @@ from mcis.is_correction import ParticleSmootherRunner, run_mcmc_is
 from mcis.mcmc import (
     ProposalState,
     UniformPrior,
-    particle_likelihood_runner,
     run_delayed_acceptance,
     run_pmmh,
 )
@@ -234,7 +233,7 @@ def test_criterion_07_posterior_agreement():
     grid, weights = lgssm_posterior_quadrature(YS_COEFF_06)
     target = float(np.sum(grid * weights))
 
-    runner = particle_likelihood_runner(family, n_particles)
+    runner = ParticleSmootherRunner(family, n_particles)
     pmmh_trace, _ = run_pmmh(
         prior, proposal, runner, m, substream(SEED, "acc07", "pm"), n_burn=n_burn
     )
@@ -284,7 +283,7 @@ def test_criterion_08_stage_product_inequality():
         UniformPrior(0.0, 1.0),
         ProposalState.isotropic(1, sd=0.15),
         KALMAN_06,
-        particle_likelihood_runner(family, 32),
+        ParticleSmootherRunner(family, 32),
         0.01,
         2000,
         substream(SEED, "acc08"),
@@ -315,7 +314,7 @@ def test_criterion_09_variance_ordering():
     prior = UniformPrior(0.0, 1.0)
     proposal = ProposalState.isotropic(1, sd=0.15)
     m, n_burn = 3000, 500
-    runner = particle_likelihood_runner(family, 16)
+    runner = ParticleSmootherRunner(family, 16)
     favourable = 0
     pairs = 50
     for r in range(pairs):

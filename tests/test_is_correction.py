@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from mcis.diagnostics import series_stats
 from mcis.errors import (
     DegenerateEstimatorError,
     ModelEvaluationError,
@@ -33,7 +32,7 @@ from mcis.is_correction import (
     estimate_asvar_decomposition,
     run_mcmc_is,
     self_normalized_estimate,
-    thin_jump_chain,
+    weight_residual_series,
 )
 from mcis.mcmc import (
     JumpChain,
@@ -41,9 +40,9 @@ from mcis.mcmc import (
     UniformPrior,
     run_approx_marginal_chain,
 )
+from mcis.models.fk import FeynmanKacModel
 from mcis.models.lgssm import kalman_loglik, lgssm_feynman_kac
 from mcis.rng import KeyedStreams
-from mcis.smc import SmootherEstimate
 
 from conftest import YS_COEFF_06, lgssm_posterior_quadrature, scalar_ssm
 
@@ -60,6 +59,20 @@ def _theta_value(theta, states):
 
 def _unit_function(theta, states):
     return 1.0
+
+
+class _FlatModel(FeynmanKacModel):
+    """One step (``n = 0``) whose potential is ``exp(log_potential)``
+    at every state."""
+
+    def __init__(self, log_potential):
+        self.value = log_potential
+
+    def sample_initial(self, size, rng):
+        return np.zeros(size)
+
+    def log_potential(self, p, x):
+        return np.full(x.shape, self.value)
 
 
 def _approx_inflated(theta, rng):
@@ -150,15 +163,11 @@ def test_log_domain_ratio_survives_underflow():
         holding_times=np.array([4]),
     )
 
-    def stub(theta, funcs, rng):
-        return SmootherEstimate(
-            values=np.zeros(len(funcs)),
-            log_normalizer=-800.0,
-            self_normalized=np.array([1.0] + [0.3] * (len(funcs) - 1)),
-        )
-
+    # one particle: the filter's log normalizer is exactly -800
+    runner = ParticleSmootherRunner(lambda theta: _FlatModel(-800.0), n_particles=1)
     (sample,) = compute_is_weights(
-        jump, stub, 0.0, (_theta_value,), replicates=1, rng_streams=KeyedStreams(0)
+        jump, runner, 0.0, (lambda theta, states: 0.3,), replicates=1,
+        rng_streams=KeyedStreams(0),
     )
     assert sample.xi_one == 1.0
     assert sample.xi_functions[0] == pytest.approx(0.3, rel=1e-15)
@@ -172,11 +181,7 @@ def test_collapsed_exact_model_gives_degenerate_estimator():
         holding_times=np.array([2]),
     )
 
-    def collapsed(theta, funcs, rng):
-        zeros = np.zeros(len(funcs))
-        return SmootherEstimate(values=zeros, log_normalizer=-math.inf,
-                                self_normalized=zeros.copy())
-
+    collapsed = ParticleSmootherRunner(lambda theta: _FlatModel(-math.inf), n_particles=4)
     samples = compute_is_weights(
         jump, collapsed, 0.0, (_theta_value,), replicates=1,
         rng_streams=KeyedStreams(0),
@@ -193,9 +198,10 @@ def test_weight_failure_reports_jump_state():
         holding_times=np.array([1]),
     )
 
-    def broken(theta, funcs, rng):
+    def broken_family(theta):
         raise ValueError("boom")
 
+    broken = ParticleSmootherRunner(broken_family, n_particles=4)
     with pytest.raises(ModelEvaluationError, match="jump state 0"):
         compute_is_weights(jump, broken, 0.0, (), replicates=1,
                            rng_streams=KeyedStreams(0))
@@ -260,6 +266,8 @@ def test_asvar_decomposition_single_replicate_has_no_split():
     total, correction = estimate_asvar_decomposition(jump, samples, 0)
     assert correction is None
     assert total >= 0.0
+    residuals = weight_residual_series(samples, 0, self_normalized_estimate(samples, 0))
+    assert total == series_stats(residuals).asymptotic_variance
 
 
 def test_asvar_decomposition_components_sum_to_total():
@@ -274,15 +282,16 @@ def test_asvar_decomposition_components_sum_to_total():
     multiplicities = np.array([s.multiplicity for s in samples])
     xi_one = np.array([s.xi_one for s in samples])
     mean_unit = float(np.sum(multiplicities * xi_one)) / multiplicities.sum()
+    # loop reference: each replicate's residual, then their mean
     residuals = np.array(
         [
-            np.mean((s.xi_replicates[:, 1] - estimate * s.xi_replicates[:, 0]))
-            / mean_unit
+            np.mean((s.xi_replicates[:, 1] - estimate * s.xi_replicates[:, 0]) / mean_unit)
             for s in samples
         ]
     )
-    from mcis.diagnostics import series_stats
-
+    np.testing.assert_array_equal(
+        weight_residual_series(samples, 0, estimate), np.repeat(residuals, multiplicities)
+    )
     total = series_stats(np.repeat(residuals, multiplicities)).asymptotic_variance
     assert chain + correction == pytest.approx(total, rel=1e-12)
 
@@ -307,61 +316,6 @@ def test_asvar_decomposition_validation():
     ]
     with pytest.raises(ParameterError):
         estimate_asvar_decomposition(jump, mixed, 0)
-
-
-# ---------------------------------------------------------------------------
-# Thinning
-
-
-def test_thin_jump_chain_explicit():
-    jump = JumpChain(
-        thetas=np.array([[1.0], [2.0], [3.0]]),
-        logliks=np.array([-1.0, -2.0, -3.0]),
-        holding_times=np.array([3, 2, 4]),
-        payloads=["a", "b", "c"],
-    )
-    thinned = thin_jump_chain(jump, 2)
-    np.testing.assert_array_equal(thinned.thetas, [[1.0], [2.0], [3.0]])
-    np.testing.assert_array_equal(thinned.holding_times, [2, 1, 2])
-    assert thinned.payloads == ["a", "b", "c"]
-
-    # a state whose whole block falls between kept iterations drops out
-    short = JumpChain(
-        thetas=np.array([[1.0], [2.0], [3.0]]),
-        logliks=np.array([-1.0, -2.0, -3.0]),
-        holding_times=np.array([1, 1, 4]),
-    )
-    thinned = thin_jump_chain(short, 2)
-    np.testing.assert_array_equal(thinned.thetas, [[1.0], [3.0]])
-    np.testing.assert_array_equal(thinned.holding_times, [1, 2])
-
-
-def test_thin_factor_one_is_identity():
-    jump = _short_jump(seed=27, n_iterations=40)
-    assert thin_jump_chain(jump, 1) is jump
-    with pytest.raises(ParameterError):
-        thin_jump_chain(jump, 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    holding=st.lists(st.integers(1, 6), min_size=1, max_size=10),
-    factor=st.integers(1, 7),
-)
-def test_thinning_matches_expanded_slice(holding, factor):
-    holding = np.asarray(holding, np.int64)
-    jump = JumpChain(
-        thetas=np.arange(holding.size, dtype=float).reshape(-1, 1),
-        logliks=np.zeros(holding.size),
-        holding_times=holding,
-    )
-    thinned = thin_jump_chain(jump, factor)
-    np.testing.assert_array_equal(
-        thinned.expand_thetas(), jump.expand_thetas()[::factor]
-    )
-    assert thinned.holding_times.min() >= 1
-    if len(thinned) > 1:
-        assert np.all(np.diff(thinned.thetas[:, 0]) != 0.0)
 
 
 # ---------------------------------------------------------------------------

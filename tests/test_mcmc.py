@@ -18,6 +18,7 @@ import pytest
 
 from mcis.diagnostics import series_stats
 from mcis.errors import InitializationError, ParameterError, SupportConditionError
+from mcis.is_correction import ParticleSmootherRunner
 from mcis.mcmc import (
     ChainTrace,
     GaussianPrior,
@@ -25,8 +26,8 @@ from mcis.mcmc import (
     LikelihoodEvaluation,
     ProposalState,
     UniformPrior,
+    _as_evaluation,
     adapt_covariance,
-    particle_likelihood_runner,
     propose,
     run_approx_marginal_chain,
     run_delayed_acceptance,
@@ -160,24 +161,27 @@ def test_adaptation_step_validation():
 
 
 def test_particle_runner_returns_evaluation():
-    runner = particle_likelihood_runner(
+    runner = ParticleSmootherRunner(
         lambda theta: lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]))),
         n_particles=64,
-        test_function=lambda theta, states: states,
+        test_functions=(lambda theta, states: states,),
     )
-    ev = runner(np.array([0.9]), substream(4, "runner"))
+    estimate = runner(np.array([0.9]), substream(4, "runner"))
+    ev = _as_evaluation(estimate)
     assert isinstance(ev, LikelihoodEvaluation)
+    assert ev.log_likelihood == estimate.log_normalizer
     assert math.isfinite(ev.log_likelihood)
+    assert ev.functional == estimate.self_normalized[0]
     assert math.isfinite(ev.functional)
-    assert ev.payload is not None
+    assert ev.payload is estimate
 
 
 def test_particle_runner_without_test_function():
-    runner = particle_likelihood_runner(
+    runner = ParticleSmootherRunner(
         lambda theta: lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]))),
         n_particles=32,
     )
-    ev = runner(np.array([0.5]), substream(5, "runner2"))
+    ev = _as_evaluation(runner(np.array([0.5]), substream(5, "runner2")))
     assert math.isnan(ev.functional)
 
 
@@ -255,10 +259,10 @@ def test_pmmh_accepts_on_a_zero_uniform_draw():
 
 
 def test_pmmh_estimate_is_post_burn_functional_mean():
-    runner = particle_likelihood_runner(
+    runner = ParticleSmootherRunner(
         lambda theta: lgssm_feynman_kac(scalar_ssm(coeff=float(theta[0]))),
         n_particles=32,
-        test_function=lambda theta, states: states,
+        test_functions=(lambda theta, states: states,),
     )
     trace, estimate = run_pmmh(
         UNIT_PRIOR,

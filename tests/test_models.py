@@ -27,9 +27,7 @@ from mcis.models.diffusion import (
     CoupledEulerModel,
     EulerDiffusionModel,
     GeometricBrownian,
-    LinearDrift,
     coupled_euler_interval,
-    euler_step,
     ou_exact_lgssm,
     ou_level_lgssm,
 )
@@ -48,17 +46,6 @@ def test_mesh_and_substeps():
     assert model.substeps == 8
     assert model.mesh == 0.125
     assert model.n == len(YS_OU) - 1
-
-
-def test_euler_step_matches_formula_bitwise():
-    family = ou_family(drift_sigma=0.7)
-    model = family.level_model([0.3], level=1)  # mesh 0.5 exactly
-    x = np.array([0.4, -1.1, 2.0])
-    dW = np.array([0.05, -0.3, 0.0])
-    out = euler_step(model, x, dW)
-    theta0 = model.theta[0]
-    want = x + theta0 * x * 0.5 + 0.7 * dW
-    assert np.array_equal(out, want)
 
 
 def test_transition_moments_match_per_level_closed_form():

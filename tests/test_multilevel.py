@@ -14,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from mcis.diagnostics import series_stats
 from mcis.errors import (
     ParameterError,
     ResourceGuardError,
 )
+from mcis.is_correction import estimate_asvar_decomposition, weight_residual_series
 from mcis.mcmc import ProposalState, UniformPrior
 from mcis.models.diffusion import ou_exact_lgssm, ou_level_lgssm
 from mcis.models.lgssm import kalman_loglik
@@ -28,14 +30,13 @@ from mcis.multilevel import (
     ire,
     particle_substeps,
     randomized_smoother_estimate,
-    realized_length,
     run_mlmc_is,
     sample_level,
 )
 from mcis.rng import KeyedStreams, substream
 from mcis.smc import run_delta_pf, run_particle_filter
 
-from conftest import OU_DRIFT, YS_OU, ou_family
+from conftest import OU_DRIFT, ou_family
 
 
 def _theta_value(theta, states):
@@ -223,7 +224,6 @@ def test_resource_guard_reports_requirements():
 
 def test_ledger_accounting():
     ledger = CostLedger(costs=[1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(ledger.cumulative(), [1.0, 3.0, 6.0])
     assert ledger.total_cost == 6.0
     assert ledger.mean_cost == 2.0
     assert len(ledger) == 3
@@ -236,18 +236,6 @@ def test_ledger_validation():
         CostLedger(costs=[[1.0, 2.0]])
     with pytest.raises(ParameterError):
         CostLedger(costs=[1.0, -2.0])
-
-
-def test_realized_length_prefix_semantics():
-    ledger = CostLedger(costs=[1.0, 2.0, 3.0])
-    assert realized_length(ledger, 0.0) == 0
-    assert realized_length(ledger, 0.99) == 0
-    assert realized_length(ledger, 1.0) == 1
-    assert realized_length(ledger, 5.9) == 2
-    assert realized_length(ledger, 6.0) == 3
-    assert realized_length(ledger, 1e9) == 3
-    with pytest.raises(ParameterError):
-        realized_length(ledger, -1.0)
 
 
 def test_ire_is_mean_cost_times_asvar():
@@ -300,7 +288,13 @@ def test_mlmc_end_to_end_recovers_exact_posterior_mean():
     target = _exact_posterior_mean(family)
     assert est.n_iterations == 1800
     assert abs(est.value - target) < 5.0 * est.standard_error
-    assert est.asvar_total == result.asvar
+    # the one residual: the reported variance is that of the weight
+    # residual series, and the decomposition returns it unsplit
+    residuals = weight_residual_series(result.samples, 0, est.value)
+    assert est.asvar_total == series_stats(residuals).asymptotic_variance
+    assert estimate_asvar_decomposition(result.jump_chain, result.samples, 0) == (
+        est.asvar_total, None
+    )
     assert est.asvar_chain is None and est.asvar_correction is None
     assert 0.0 < est.ess <= est.n_iterations
     assert len(result.ledger) == 1800
