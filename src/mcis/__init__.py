@@ -25,7 +25,6 @@ from .diagnostics import (
     SeriesStats,
     compare_chains,
     format_comparison,
-    is_variance_bound,
     series_stats,
 )
 from .errors import (
@@ -72,10 +71,8 @@ from .multilevel import (
     CostLedger,
     LevelSchedule,
     MlmcIsResult,
-    RandomizedEstimate,
-    build_schedule,
+    debiased_increment,
     ire,
-    randomized_smoother_estimate,
     run_mlmc_is,
     sample_level,
 )
@@ -134,10 +131,8 @@ __all__ = [
     "run_mcmc_is",
     # multilevel / debiasing
     "LevelSchedule",
-    "build_schedule",
     "sample_level",
-    "RandomizedEstimate",
-    "randomized_smoother_estimate",
+    "debiased_increment",
     "CostLedger",
     "ire",
     "MlmcIsResult",
@@ -157,7 +152,6 @@ __all__ = [
     "SeriesStats",
     "series_stats",
     "compare_chains",
-    "is_variance_bound",
     "format_comparison",
     # parallel execution
     "ordered_map",

@@ -376,7 +376,6 @@ def abc_confidence_interval(
     epsilon: float,
     f: Callable,
     beta: float = 1.96,
-    iact_window_policy: str = "geyer",
 ) -> AbcCiReport:
     """Post-corrected estimate with an approximate confidence interval.
 
@@ -385,9 +384,6 @@ def abc_confidence_interval(
     the indicator-normalized function variance
 
         S = sum over selected of (f - estimate)^2 / count^2.
-
-    ``iact_window_policy="lag1"`` uses only the first autocorrelation,
-    the coarse variant; the default truncates adaptively.
     """
     if len(trace) < 100:
         raise ParameterError("need at least 100 iterations for an interval")
@@ -404,7 +400,7 @@ def abc_confidence_interval(
             f"recorded distance is {sorted_distances[0]}",
             min_distance=float(sorted_distances[0]),
         )
-    iact = series_stats(values, window_policy=iact_window_policy).iact
+    iact = series_stats(values).iact
     selected = trace.distances <= epsilon
     deviations = values[selected] - estimate
     function_variance = float(np.sum(deviations * deviations)) / (count * count)

@@ -69,8 +69,9 @@ from .mcmc import (
 )
 from .models.abc_model import GaussianLocationAbc
 from .models.diffusion import DiffusionFamily, LinearDrift, ou_level_lgssm
+from .models.diffusion import _ou_exact_moments
 from .models.lgssm import KalmanLikelihood, LgssmFamily, kalman_loglik
-from .multilevel import DEFAULT_SUBSTEP_GUARD, build_schedule, ire, run_mlmc_is
+from .multilevel import DEFAULT_SUBSTEP_GUARD, LevelSchedule, ire, run_mlmc_is
 from .multilevel import particle_substeps
 from .parallel import worker_count
 from .rng import KeyedStreams
@@ -496,13 +497,7 @@ def _load_observations(config: ExperimentConfig, streams: KeyedStreams) -> np.nd
             math.sqrt(model["observation_noise"]), model["initial_mean"],
             math.sqrt(model["initial_variance"]),
         )
-    # the exact transition of the linear diffusion over one interval
-    drift, sigma, delta = model["drift"], model["sigma"], model["interval"]
-    if drift == 0.0:
-        factor, var = 1.0, sigma * sigma * delta
-    else:
-        factor = math.exp(drift * delta)
-        var = sigma * sigma * math.expm1(2.0 * drift * delta) / (2.0 * drift)
+    factor, var = _ou_exact_moments(model["drift"], model["sigma"], model["interval"])
     return _simulate(
         model["simulate"], rng, factor, math.sqrt(var), model["obs_gain"],
         math.sqrt(model["obs_var"]), model["init_mean"], model["init_sd"],
@@ -637,6 +632,16 @@ def _drive_pf(config, setup, streams, n_workers):
         model = setup.family.level_model(
             np.array([config.model["drift"]]), config.model["level"]
         )
+        required = config.sampler["n_particles"] * model.n * model.substeps
+        guard = config.guard["substeps"]
+        if required > guard:
+            raise ResourceGuardError(
+                f"level {model.level} needs {required} particle-substeps, over the "
+                f"guard budget {guard}; lower model.level or raise the guard",
+                level=model.level,
+                required=required,
+                budget=guard,
+            )
     cloud, estimate = run_particle_filter(
         model,
         config.sampler["n_particles"],
@@ -777,7 +782,7 @@ def _drive_mcmc_is(config, setup, streams, n_workers):
 
 
 def _drive_mlmc_is(config, setup, streams, n_workers):
-    schedule = build_schedule(**config.schedule)
+    schedule = LevelSchedule(**config.schedule)
     sampler = config.sampler
     result = run_mlmc_is(
         setup.prior, setup.proposal, setup.family, schedule, sampler["eps_reg"],
@@ -1008,7 +1013,7 @@ def _derived_lines(config: ExperimentConfig) -> list[str]:
         n_observations = _read_observations(config).size
         lines.append(f"observations     file {model['observations']}")
     if config.algorithm == "mlmc-is":
-        schedule = build_schedule(**config.schedule)
+        schedule = LevelSchedule(**config.schedule)
         head = range(1, 9)
         pmf = ", ".join(f"{float(schedule.pmf(level)):.4g}" for level in head)
         particles = ", ".join(str(schedule.particle_count(level)) for level in head)

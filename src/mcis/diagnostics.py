@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "SeriesStats",
     "series_stats",
     "compare_chains",
-    "is_variance_bound",
     "format_comparison",
 ]
 
@@ -60,15 +59,13 @@ def _autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
     return acov / n
 
 
-def series_stats(series, window_policy: str = "geyer") -> SeriesStats:
+def series_stats(series) -> SeriesStats:
     """Mean, variance, autocorrelations and IACT of a scalar series.
 
-    ``window_policy="geyer"`` truncates the autocorrelation sum at the
-    first nonpositive sum of adjacent lag pairs (initial positive
-    sequence), which keeps the IACT nonnegative.  ``"lag1"`` uses
-    ``1 + 2*rho_1`` only — the coarse variant appropriate for
-    short-memory chains.  A constant series has IACT 1 and asymptotic
-    variance 0 by convention.
+    The autocorrelation sum is truncated at the first nonpositive sum
+    of adjacent lag pairs (Geyer's initial positive sequence), which
+    keeps the IACT nonnegative.  A constant series has IACT 1 and
+    asymptotic variance 0 by convention.
     """
     series = np.asarray(series, float).ravel()
     n = series.size
@@ -103,18 +100,12 @@ def series_stats(series, window_policy: str = "geyer") -> SeriesStats:
         )
     rho = acov / variance
 
-    if window_policy == "geyer":
-        n_pairs = (max_lag + 1) // 2
-        pairs = rho[0 : 2 * n_pairs : 2] + rho[1 : 2 * n_pairs : 2]
-        cut = np.flatnonzero(pairs <= 0.0)
-        keep = cut[0] if cut.size else n_pairs
-        iact = 2.0 * float(np.sum(pairs[:keep])) - 1.0
-        window = max(2 * keep - 1, 0)
-    elif window_policy == "lag1":
-        iact = 1.0 + 2.0 * float(rho[1])
-        window = 1
-    else:
-        raise ParameterError(f"unknown window policy {window_policy!r}")
+    n_pairs = (max_lag + 1) // 2
+    pairs = rho[0 : 2 * n_pairs : 2] + rho[1 : 2 * n_pairs : 2]
+    cut = np.flatnonzero(pairs <= 0.0)
+    keep = cut[0] if cut.size else n_pairs
+    iact = 2.0 * float(np.sum(pairs[:keep])) - 1.0
+    window = max(2 * keep - 1, 0)
     iact = max(iact, 0.0)
 
     return SeriesStats(
@@ -160,12 +151,7 @@ def _series_group_stats(series_list) -> dict:
     }
 
 
-def compare_chains(
-    traces: dict,
-    targets: dict | None = None,
-    tolerance: float = 2.0,
-    bound_terms: dict | None = None,
-) -> dict:
+def compare_chains(traces: dict, tolerance: float = 2.0) -> dict:
     """Compare estimator series of several samplers on one target.
 
     ``traces`` maps a sampler name to a list of replicate estimator
@@ -173,17 +159,10 @@ def compare_chains(
     spread (across replicates, or across batches when only one series
     is given); every unordered pair is then compared, reporting whether
     the first (alphabetically) exceeds the second by more than
-    ``tolerance`` times the combined spread.  ``targets`` optionally
-    declares what each trace samples; differing declarations are a
-    configuration error.  ``bound_terms`` forwards to
-    `is_variance_bound` and attaches the result.
+    ``tolerance`` times the combined spread.
     """
     if len(traces) < 2:
         raise ParameterError("need at least two traces to compare")
-    if targets is not None:
-        declared = {targets.get(name) for name in traces}
-        if len(declared) > 1:
-            raise ConfigError(f"traces declare different targets: {declared}")
 
     names = sorted(traces)
     per_series = {name: _series_group_stats(traces[name]) for name in names}
@@ -212,41 +191,7 @@ def compare_chains(
                 }
             )
 
-    report = {"series": per_series, "pairs": pairs, "tolerance": tolerance}
-    if bound_terms is not None:
-        report["bound"] = is_variance_bound(**bound_terms)
-    return report
-
-
-def is_variance_bound(
-    lhs_asvar: float,
-    sup_weight_ratio: float,
-    direct_asvar: float,
-    estimator_variance: float,
-    correction_variance: float,
-) -> dict:
-    """Check the corrected sampler's variance bound against a direct one.
-
-    The bound says the corrected sampler's asymptotic variance is at
-    most the weight-ratio bound times (direct sampler's asymptotic
-    variance plus the estimator's marginal variance), plus three times
-    the variance of the weighted correction residual.  All terms are
-    estimated; the caller supplies them plus the oracle-computed weight
-    ratio bound.
-    """
-    for name, value in (
-        ("sup_weight_ratio", sup_weight_ratio),
-        ("direct_asvar", direct_asvar),
-        ("estimator_variance", estimator_variance),
-        ("correction_variance", correction_variance),
-    ):
-        if value < 0 or not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite and nonnegative")
-    rhs = (
-        sup_weight_ratio * (direct_asvar + estimator_variance)
-        + 3.0 * correction_variance
-    )
-    return {"lhs": float(lhs_asvar), "rhs": float(rhs), "holds": bool(lhs_asvar <= rhs)}
+    return {"series": per_series, "pairs": pairs, "tolerance": tolerance}
 
 
 def format_comparison(report: dict) -> str:
@@ -264,11 +209,5 @@ def format_comparison(report: dict) -> str:
         lines.append(
             f"{pair['first']} {verdict} {pair['second']} + {tol}*err "
             f"(diff {pair['difference']:.6g}, err {pair['combined_error']:.3g})"
-        )
-    if "bound" in report:
-        bound = report["bound"]
-        status = "holds" if bound["holds"] else "VIOLATED"
-        lines.append(
-            f"variance bound {status}: lhs {bound['lhs']:.6g} vs rhs {bound['rhs']:.6g}"
         )
     return "\n".join(lines)

@@ -79,9 +79,10 @@ class EmptySelectionError(McisError):
 
 
 class ResourceGuardError(McisError):
-    """A sampled level would exceed the configured substep budget.
+    """A run at a sampled or configured level would exceed the
+    configured substep budget.
 
-    The draw is reported rather than silently truncated, because
+    A sampled level is reported rather than silently truncated, because
     truncating the level distribution would bias the debiased
     estimator; the caller may re-seed or raise the guard.
     """

@@ -316,6 +316,16 @@ def _ou_interval_moments(drift_coeff: float, sigma: float, interval: float, leve
     return coeff, sigma * sigma * h * total
 
 
+def _ou_exact_moments(drift_coeff: float, sigma: float, interval: float):
+    """Transition coefficient and noise variance of the exact (infinite-
+    resolution) transition of the linear-drift diffusion over one
+    observed interval."""
+    if drift_coeff == 0.0:
+        return 1.0, sigma * sigma * interval
+    var = sigma * sigma * math.expm1(2.0 * drift_coeff * interval) / (2.0 * drift_coeff)
+    return math.exp(drift_coeff * interval), var
+
+
 def ou_level_lgssm(family: DiffusionFamily, theta, level: int) -> LinearGaussianSSM:
     """Exact linear-Gaussian model of the Euler scheme at ``level``.
 
@@ -345,14 +355,9 @@ def ou_exact_lgssm(family: DiffusionFamily, theta) -> LinearGaussianSSM:
     if not isinstance(family.dynamics, LinearDrift):
         raise TypeError("exact transitions are available only for LinearDrift dynamics")
     theta = np.atleast_1d(np.asarray(theta, float))
-    alpha = float(theta[0])
-    sigma = family.dynamics.sigma
-    t = family.interval
-    coeff = math.exp(alpha * t)
-    if abs(alpha) < 1e-12:
-        var = sigma * sigma * t
-    else:
-        var = sigma * sigma * (math.exp(2.0 * alpha * t) - 1.0) / (2.0 * alpha)
+    coeff, var = _ou_exact_moments(
+        float(theta[0]), family.dynamics.sigma, family.interval
+    )
     return LinearGaussianSSM(
         transition_matrix=coeff,
         transition_cov=var,

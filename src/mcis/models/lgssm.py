@@ -3,9 +3,8 @@
 The linear-Gaussian model is the workhorse oracle of the test suite:
 its marginal likelihood and smoothed means are computable exactly with
 the Kalman filter/smoother, giving ground truth for the Monte Carlo
-estimators.  Scalar and multivariate models are both supported; the
-bootstrap Feynman-Kac view used by the particle filter keeps a fast
-path for scalar states.
+estimators.  The Kalman oracles take scalar and multivariate models;
+the bootstrap Feynman-Kac view used by the particle filter is scalar.
 """
 
 from __future__ import annotations
@@ -278,49 +277,13 @@ class _ScalarLgssmFK(FeynmanKacModel):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _VectorLgssmFK(FeynmanKacModel):
-    """Bootstrap filter model for a multivariate linear-Gaussian SSM."""
-
-    trans: np.ndarray = None
-    trans_chol: np.ndarray = None
-    obs_mat: np.ndarray = None
-    obs_prec: np.ndarray = None
-    obs_lognorm: float = 0.0
-    init_mean: np.ndarray = None
-    init_chol: np.ndarray = None
-    ys: np.ndarray = None
-    n: int = field(default=0)
-
-    def sample_initial(self, size, rng):
-        noise = rng.standard_normal((size, self.init_mean.size))
-        return self.init_mean + noise @ self.init_chol.T
-
-    def sample_transition(self, p, x, rng):
-        noise = rng.standard_normal(x.shape)
-        return x @ self.trans.T + noise @ self.trans_chol.T
-
-    def log_potential(self, p, x):
-        resid = self.ys[p] - x @ self.obs_mat.T
-        quad = np.einsum("ij,jk,ik->i", resid, self.obs_prec, resid)
-        return -0.5 * quad + self.obs_lognorm
-
-
-def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor tolerating exactly singular (e.g. zero) matrices."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
 def lgssm_feynman_kac(model: LinearGaussianSSM) -> FeynmanKacModel:
     """Bootstrap Feynman-Kac view of a linear-Gaussian SSM.
 
     The transitions sample the latent chain and the potentials are the
     observation densities, so the filter's normalizer estimates the
-    marginal likelihood that `kalman_loglik` computes exactly.
+    marginal likelihood that `kalman_loglik` computes exactly.  Only
+    scalar models have one.
     """
     if model.scalar:
         return _ScalarLgssmFK(
@@ -333,22 +296,7 @@ def lgssm_feynman_kac(model: LinearGaussianSSM) -> FeynmanKacModel:
             ys=tuple(float(y) for y in model.observations),
             n=model.horizon,
         )
-    trans, q_cov, obs_mat, r_cov, mean0, cov0, ys = _as_matrices(model)
-    chol_r = np.linalg.cholesky(r_cov)
-    obs_lognorm = -0.5 * (
-        ys.shape[1] * _LOG_2PI + 2.0 * float(np.sum(np.log(np.diag(chol_r))))
-    )
-    return _VectorLgssmFK(
-        trans=trans,
-        trans_chol=_psd_cholesky(q_cov),
-        obs_mat=obs_mat,
-        obs_prec=np.linalg.inv(r_cov),
-        obs_lognorm=obs_lognorm,
-        init_mean=mean0,
-        init_chol=_psd_cholesky(cov0),
-        ys=ys,
-        n=ys.shape[0] - 1,
-    )
+    raise ParameterError("the bootstrap filter view needs a scalar model")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Randomized multilevel debiasing of discretized diffusion inference.
 
-A single-term debiased estimate draws a random level ``L`` from a
-schedule with unbounded support, runs the coupled-difference filter at
-that level, divides by the level's probability, and adds an independent
-level-0 estimate: in expectation the telescoping sum reproduces the
-exact-dynamics (infinite-resolution) unnormalized smoother.
+`debiased_increment` is the single-term estimator: it draws a random
+level ``L`` from a schedule with unbounded support, runs the
+coupled-difference filter at that level and divides by the level's
+probability.  Its expectation is the exact-dynamics (infinite-
+resolution) unnormalized smoother minus the level-0 one, so adding an
+independent level-0 estimate gives an unbiased estimate of the former.
 
 The two-phase driver is importance correction with a different weight
 estimator: a level-0 marginal chain first (its likelihood is the
-`ParticleSmootherRunner` over the level-0 model), then per-state
-debiased weights that may be negative, turned into samples and an
-estimate by the same `mcis.is_correction` code as particle weights.
+`ParticleSmootherRunner` over the level-0 model), then per state the
+increment plus the phase-1 level-0 estimate over the regularized
+level-0 likelihood: possibly negative weights, turned into samples and
+an estimate by the same `mcis.is_correction` code as particle weights.
 Costs are tracked in particle-substep units so efficiency
 comparisons don't depend on wall-clock noise.
 """
@@ -18,7 +20,7 @@ comparisons don't depend on wall-clock noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -36,15 +38,13 @@ from .mcmc import JumpChain, _log_regularized, run_approx_marginal_chain
 from .models.diffusion import DiffusionFamily
 from .parallel import ordered_map
 from .rng import KeyedStreams
-from .smc import run_delta_pf, run_particle_filter
+from .smc import run_delta_pf
 
 __all__ = [
     "LevelSchedule",
-    "build_schedule",
     "sample_level",
     "particle_substeps",
-    "RandomizedEstimate",
-    "randomized_smoother_estimate",
+    "debiased_increment",
     "CostLedger",
     "ire",
     "MlmcIsResult",
@@ -68,14 +68,17 @@ class LevelSchedule:
     support is unbounded.  The log-factor variant multiplies in
     ``l * log2(l + 1)**eta`` (then renormalizes), trading slightly
     heavier level tails for finite-variance guarantees in rougher
-    couplings.  Particle counts grow as ``n_base * 2**ceil(rho * l)``.
+    couplings.  Particle counts grow as ``n_base * 2**ceil(rho * l)``:
+    ``rho = 0`` spends equal expected work per level; ``rho = 1``
+    concentrates the draws on low levels and compensates with more
+    particles per high-level run.
     """
 
     rho: float
     n_base: int
     variant: str = "plain"
     eta: float = 2.0
-    _normalizer: float = 0.0
+    _normalizer: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -116,28 +119,10 @@ class LevelSchedule:
         level = np.asarray(level)
         if np.any(level < 1):
             raise ParameterError("levels start at 1")
-        weight = self._weight(level)
-        if self.variant == "plain":
-            return weight
-        return weight / self._normalizer
+        return self._weight(level) / self._normalizer
 
     def particle_count(self, level: int) -> int:
         return self.n_base * 2 ** math.ceil(self.rho * level)
-
-
-def build_schedule(
-    rho: float,
-    n_base: int,
-    variant: str = "plain",
-    eta: float = 2.0,
-) -> LevelSchedule:
-    """Level schedule with decay exponent ``rho`` in [0, 1].
-
-    ``rho = 0`` spends equal expected work per level; ``rho = 1``
-    concentrates the draws on low levels and compensates with more
-    particles per high-level run.
-    """
-    return LevelSchedule(rho=rho, n_base=n_base, variant=variant, eta=eta)
 
 
 def sample_level(
@@ -174,78 +159,36 @@ def particle_substeps(schedule: LevelSchedule, level: int, n_intervals: int) -> 
     return schedule.particle_count(level) * n_intervals * (2**level + 2 ** (level - 1))
 
 
-def _check_guard(schedule, level, n_intervals, guard):
-    required = particle_substeps(schedule, level, n_intervals)
-    if required > guard:
-        raise ResourceGuardError(
-            f"sampled level {level} needs {required} particle-substeps, "
-            f"over the guard budget {guard}; re-seed or raise the guard",
-            level=level,
-            required=required,
-            budget=guard,
-        )
-    return required
-
-
 # ---------------------------------------------------------------------------
-# Single-term debiased smoother estimate
+# Single-term debiased increment
 
 
-@dataclass(frozen=True, eq=False)
-class RandomizedEstimate:
-    """Debiased functionals of the exact-dynamics unnormalized smoother.
-
-    ``value_one`` estimates the exact-model likelihood; ``values`` the
-    declared test functions' unnormalized integrals.  Either may be
-    negative.  ``cost`` counts particle-substeps actually executed.
-    """
-
-    values: np.ndarray
-    value_one: float
-    level: int
-    cost: float
-
-
-def randomized_smoother_estimate(
+def debiased_increment(
     theta,
     schedule: LevelSchedule,
     family: DiffusionFamily,
     rng: np.random.Generator,
     test_functions: Sequence[Callable] = (),
-    substep_guard: int = DEFAULT_SUBSTEP_GUARD,
-) -> RandomizedEstimate:
-    """One unbiased draw of the debiased smoother functionals.
+) -> tuple[int, np.ndarray]:
+    """One single-term draw of the debiased level increment.
 
-    Draws a level, runs the coupled-difference filter there with the
-    schedule's particle count, divides by the level probability, and
-    adds an independent level-0 filter estimate — all on the supplied
-    generator, in that order.  Test functions take the final states
-    ``(N,)`` and return per-particle values.
+    Draws a level from ``rng``, runs the coupled-difference filter there
+    on the same generator with the schedule's particle count, and
+    returns ``(level, [delta_1, delta_f...] / pmf(level))``: in
+    expectation the exact-dynamics minus the level-0 unnormalized
+    smoother of the constant and of each test function (callables of
+    ``(theta, final states)``).  Add an independent level-0 estimate
+    for an unbiased estimate of the exact-dynamics smoother.
     """
     level = sample_level(schedule, rng)
-    delta_cost = _check_guard(schedule, level, family.n_intervals, substep_guard)
-    probability = float(schedule.pmf(level))
     delta = run_delta_pf(
         family.coupled_model(theta, level),
         schedule.particle_count(level),
         rng=rng,
-        test_functions=test_functions,
+        test_functions=[partial(f, theta) for f in test_functions],
     )
-    _, zero = run_particle_filter(
-        family.level_model(theta, 0),
-        schedule.n_base,
-        rng=rng,
-        test_functions=test_functions,
-    )
-    zero_cost = schedule.n_base * family.n_intervals
-    values = delta.values / probability + zero.values
-    value_one = delta.value_one / probability + zero.normalizer
-    return RandomizedEstimate(
-        values=values,
-        value_one=value_one,
-        level=level,
-        cost=float(delta_cost + zero_cost),
-    )
+    values = np.concatenate([[delta.value_one], delta.values])
+    return level, values / float(schedule.pmf(level))
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +262,13 @@ def _check_levels(schedule, levels, n_intervals, guard):
     return required
 
 
-def _delta_task(task):
+def _increment_task(task):
     family, schedule, theta, funcs, streams, index = task
-    rng = streams.stream("mlmc", index)
     # replays the level run_mlmc_is drew and checked; holding every
     # state's generator from then on would cost ~1.8 kB per state
-    level = sample_level(schedule, rng)
-    return run_delta_pf(
-        family.coupled_model(theta, level),
-        schedule.particle_count(level),
-        rng=rng,
-        test_functions=[partial(f, theta) for f in funcs],
-    )
+    return debiased_increment(
+        theta, schedule, family, streams.stream("mlmc", index), funcs
+    )[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,10 +311,10 @@ def run_mlmc_is(
 
     Phase 1 runs the marginal chain against the level-0 particle
     likelihood (regularized by ``eps_reg``), keeping each accepted
-    state's smoother output.  Phase 2 draws one level per distinct
-    state (streams keyed by state index, so worker count is
-    irrelevant), runs the coupled-difference filter, and forms possibly
-    negative debiased weights; the self-normalized ratio estimates the
+    state's smoother output.  Phase 2 adds one `debiased_increment` per
+    distinct state (streams keyed by state index, so worker count is
+    irrelevant) to that level-0 output, giving possibly negative
+    debiased weights; the self-normalized ratio estimates the
     posterior mean of ``test_functions[f_index]`` under the exact
     dynamics.  Test functions are callables of ``(theta, final
     states)``.
@@ -416,17 +354,12 @@ def run_mlmc_is(
     tasks = [
         (family, schedule, theta, funcs, streams, j) for j, theta in enumerate(jump.thetas)
     ]
-    deltas = ordered_map(_delta_task, tasks, n_workers=n_workers)
+    increments = ordered_map(_increment_task, tasks, n_workers=n_workers)
 
     xis = []
-    for j, (level, delta) in enumerate(zip(levels, deltas)):
-        payload = jump.payloads[j]  # level-0 smoother estimate from phase 1
+    for j, increment in enumerate(increments):
         denominator = math.exp(_log_regularized(jump.logliks[j], eps_reg))
-        probability = float(schedule.pmf(level))
-        numerators = np.concatenate(
-            [[delta.value_one], delta.values]
-        ) / probability + payload.values
-        xis.append((numerators / denominator).reshape(1, -1))
+        xis.append(((increment + jump.payloads[j].values) / denominator).reshape(1, -1))
     samples = weighted_samples(jump, xis)
 
     # phase-1 filtering is one level-0 run per iteration; each coupled

@@ -388,13 +388,6 @@ def test_confidence_interval_arithmetic():
     assert report.epsilon == 0.5
 
 
-def test_confidence_interval_window_policy_passthrough():
-    values = np.sin(np.arange(200, dtype=float))
-    trace = _make_trace(values, np.full(200, 0.4))
-    report = abc_confidence_interval(trace, 0.5, _theta0, iact_window_policy="lag1")
-    assert report.iact == series_stats(values, window_policy="lag1").iact
-
-
 def test_confidence_interval_validation():
     short = _make_trace(np.ones(99), np.full(99, 0.5))
     with pytest.raises(ParameterError):

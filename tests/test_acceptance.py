@@ -41,7 +41,7 @@ from mcis.models.lgssm import (
     kalman_smoother_means,
     lgssm_feynman_kac,
 )
-from mcis.multilevel import build_schedule, randomized_smoother_estimate
+from mcis.multilevel import LevelSchedule, debiased_increment
 from mcis.rng import KeyedStreams, substream
 from mcis.smc import RESAMPLING_SCHEMES, ratio_estimate, run_delta_pf, run_particle_filter
 
@@ -191,13 +191,16 @@ def test_criterion_05_randomized_debiasing():
     details = []
     ok = True
     for rho in (0.0, 1.0):
-        schedule = build_schedule(rho=rho, n_base=8)
+        schedule = LevelSchedule(rho=rho, n_base=8)
+        level_zero = family.level_model(theta, 0)
         rng = substream(SEED, "acc05", int(rho))
         values = np.empty(reps)
         for r in range(reps):
-            values[r] = randomized_smoother_estimate(
-                theta, schedule, family, rng, substep_guard=1 << 40
-            ).value_one
+            # the increment mlmc-is adds to its phase-1 level-0 estimate,
+            # plus an independent level-0 run on the same generator
+            increment = debiased_increment(theta, schedule, family, rng)[1]
+            zero = run_particle_filter(level_zero, schedule.n_base, rng=rng)[1]
+            values[r] = increment[0] + zero.normalizer
         se = values.std(ddof=1) / math.sqrt(reps)
         error = abs(values.mean() - target)
         ok &= error <= 4.0 * se

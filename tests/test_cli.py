@@ -524,9 +524,9 @@ def test_validate_reports_guard_headroom_per_run(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "guard            100000 particle-substeps per run (levels 1..3 admissible)" in out
-    from mcis.multilevel import build_schedule, particle_substeps
+    from mcis.multilevel import LevelSchedule, particle_substeps
 
-    schedule = build_schedule(rho=0.5, n_base=16)
+    schedule = LevelSchedule(rho=0.5, n_base=16)
     assert particle_substeps(schedule, 3, 100) <= 100_000 < particle_substeps(schedule, 4, 100)
 
 
@@ -749,6 +749,22 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+_PF_OU_CONFIG = _edited(_MLMC_CONFIG, {"experiment.algorithm": "pf", "schedule": None,
+                                       "sampler.n_particles": "8", "model.level": "2"})
+
+
+def test_pf_on_ou_checks_the_guard_before_filtering(tmp_path, capsys):
+    # 8 particles x 4 intervals x 2**2 substeps = 128 particle-substeps
+    over = _edited(_PF_OU_CONFIG, {"guard.substeps": "100"})
+    assert run_experiment(_write(tmp_path, over, "over.ini"), output_dir=tmp_path / "over") == 4
+    err = capsys.readouterr().err
+    assert "resource guard: level 2 needs 128 particle-substeps" in err
+    assert "guard budget 100" in err
+    assert not (tmp_path / "over" / "summary.json").exists()
+    fits = _edited(_PF_OU_CONFIG, {"guard.substeps": "128"})
+    assert run_experiment(_write(tmp_path, fits, "fits.ini"), output_dir=tmp_path / "fits") == 0
+
+
 def test_thinning_applies_to_pf_and_mlmc_traces(tmp_path):
     # 6 filter steps and 69 jump states, every fifth record kept
     for name, text, kept in (("pf", _PF_CONFIG, 2), ("mlmc", _MLMC_CONFIG, 14)):
@@ -784,7 +800,7 @@ def test_mlmc_guard_names_every_offender_before_any_coupled_run(
     assert coupled_runs == []
     err = capsys.readouterr().err
 
-    schedule = multilevel.build_schedule(rho=0.5, n_base=16)
+    schedule = multilevel.LevelSchedule(rho=0.5, n_base=16)
     streams = KeyedStreams(11)
     offenders = {}
     for j in range(len(chains[0])):
@@ -805,8 +821,7 @@ _PINNED_SUMMARIES = [
     ("pf", _PF_CONFIG,
      "443da2b1dcf90e47a41357e74f24c0cb14271a18f4f0b425b3b4350bcfd3a3d5",
      "59b718a48cefb7b491ca3cc5cceec0faadef4a24e091da3938c64fb9b65b6005"),
-    ("pf-ou", _edited(_MLMC_CONFIG, {"experiment.algorithm": "pf", "schedule": None,
-                                     "sampler.n_particles": "8", "model.level": "2"}),
+    ("pf-ou", _PF_OU_CONFIG,
      "31af3b2f0c2474e8090c2ccce5ad8df40804b873cbfab7ffc2ef4e794ada8b06",
      "5dcacd4cda6fb7ab97806cf27aaf02d90a45e7d78f41aa71239a2a7d0db68a4c"),
     ("pmmh", _mcmc_is_config().replace("algorithm = mcmc-is", "algorithm = pmmh"),

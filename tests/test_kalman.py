@@ -143,6 +143,9 @@ def test_vector_model_matches_stacked_scalar():
     means = kalman_smoother_means(vector)
     np.testing.assert_allclose(means[:, 0], kalman_smoother_means(scalar_a), rtol=1e-12)
     np.testing.assert_allclose(means[:, 1], kalman_smoother_means(scalar_b), rtol=1e-12)
+    # the particle filter's bootstrap view is scalar only
+    with pytest.raises(ParameterError):
+        lgssm_feynman_kac(vector)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Randomized multilevel debiasing: level schedules, the single-term
-debiased smoother estimate, cost accounting, and the two-phase driver.
+debiased increment, cost accounting, and the two-phase driver.
 
 Level probabilities at the two decay-exponent endpoints are dyadic
-rationals, so their values are asserted exactly; the single-term
-estimate is pinned against a hand-rolled replay of its documented
-draw order (level, coupled run, level-0 run on one generator).
+rationals, so their values are asserted exactly.  The increment is
+pinned against a replay of its draw order (level, then coupled run on
+one generator), and the two-phase driver's weights against the
+increment plus the phase-1 level-0 estimate.  Unbiasedness is checked
+on the increment plus an independent level-0 filter run drawn after it
+on the same generator.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ from mcis.errors import (
     ResourceGuardError,
 )
 from mcis.is_correction import estimate_asvar_decomposition, weight_residual_series
-from mcis.mcmc import ProposalState, UniformPrior
+from mcis.mcmc import ProposalState, UniformPrior, _log_regularized
 from mcis.models.diffusion import ou_exact_lgssm, ou_level_lgssm
 from mcis.models.lgssm import kalman_loglik
 from mcis.multilevel import (
     CostLedger,
     LevelSchedule,
-    build_schedule,
+    debiased_increment,
     ire,
-    particle_substeps,
-    randomized_smoother_estimate,
     run_mlmc_is,
     sample_level,
 )
@@ -48,11 +49,11 @@ def _theta_value(theta, states):
 
 
 def test_plain_pmf_is_exactly_dyadic_at_endpoints():
-    flat = build_schedule(rho=0.0, n_base=4)
+    flat = LevelSchedule(rho=0.0, n_base=4)
     assert flat.decay == 0.5
     assert float(flat.pmf(1)) == 0.5
     assert float(flat.pmf(3)) == 0.125
-    steep = build_schedule(rho=1.0, n_base=4)
+    steep = LevelSchedule(rho=1.0, n_base=4)
     assert steep.decay == 0.25
     assert float(steep.pmf(1)) == 0.75
     assert float(steep.pmf(2)) == 0.1875
@@ -60,8 +61,8 @@ def test_plain_pmf_is_exactly_dyadic_at_endpoints():
 
 def test_pmf_vectorizes_and_sums_to_one():
     for schedule in (
-        build_schedule(rho=0.4, n_base=2),
-        build_schedule(rho=0.4, n_base=2, variant="log_factor", eta=2.0),
+        LevelSchedule(rho=0.4, n_base=2),
+        LevelSchedule(rho=0.4, n_base=2, variant="log_factor", eta=2.0),
     ):
         levels = np.arange(1, 300)
         mass = np.asarray(schedule.pmf(levels))
@@ -71,30 +72,30 @@ def test_pmf_vectorizes_and_sums_to_one():
 
 
 def test_particle_counts_double_with_the_exponent():
-    assert build_schedule(rho=0.0, n_base=6).particle_count(9) == 6
-    steep = build_schedule(rho=1.0, n_base=6)
+    assert LevelSchedule(rho=0.0, n_base=6).particle_count(9) == 6
+    steep = LevelSchedule(rho=1.0, n_base=6)
     assert [steep.particle_count(l) for l in (1, 2, 3)] == [12, 24, 48]
-    half = build_schedule(rho=0.5, n_base=6)
+    half = LevelSchedule(rho=0.5, n_base=6)
     assert [half.particle_count(l) for l in (1, 2, 3, 4)] == [12, 12, 24, 24]
 
 
 def test_schedule_validation():
     with pytest.raises(ParameterError):
-        build_schedule(rho=-0.1, n_base=4)
+        LevelSchedule(rho=-0.1, n_base=4)
     with pytest.raises(ParameterError):
-        build_schedule(rho=1.2, n_base=4)
+        LevelSchedule(rho=1.2, n_base=4)
     with pytest.raises(ParameterError):
-        build_schedule(rho=0.5, n_base=0)
+        LevelSchedule(rho=0.5, n_base=0)
     with pytest.raises(ParameterError):
         LevelSchedule(rho=0.5, n_base=4, variant="harmonic")
     with pytest.raises(ParameterError):
-        build_schedule(rho=0.5, n_base=4, variant="log_factor", eta=1.0)
+        LevelSchedule(rho=0.5, n_base=4, variant="log_factor", eta=1.0)
     with pytest.raises(ParameterError):
-        build_schedule(rho=0.5, n_base=4).pmf(0)
+        LevelSchedule(rho=0.5, n_base=4).pmf(0)
 
 
 def test_sample_level_shapes():
-    schedule = build_schedule(rho=0.5, n_base=4)
+    schedule = LevelSchedule(rho=0.5, n_base=4)
     single = sample_level(schedule, substream(0, "lvl"))
     assert isinstance(single, int) and single >= 1
     many = sample_level(schedule, substream(0, "lvl"), size=9)
@@ -102,7 +103,7 @@ def test_sample_level_shapes():
 
 
 def test_sample_level_frequencies_match_pmf():
-    schedule = build_schedule(rho=0.0, n_base=4)
+    schedule = LevelSchedule(rho=0.0, n_base=4)
     draws = sample_level(schedule, substream(1, "freq"), size=100_000)
     for level in (1, 2, 3, 4):
         p = float(schedule.pmf(level))
@@ -112,7 +113,7 @@ def test_sample_level_frequencies_match_pmf():
 
 
 def test_log_factor_sampling_matches_pmf():
-    schedule = build_schedule(rho=0.5, n_base=4, variant="log_factor", eta=2.0)
+    schedule = LevelSchedule(rho=0.5, n_base=4, variant="log_factor", eta=2.0)
     draws = sample_level(schedule, substream(2, "logfreq"), size=20_000)
     for level in (1, 2, 3):
         p = float(schedule.pmf(level))
@@ -125,33 +126,39 @@ def test_log_factor_sampling_matches_pmf():
 # Single-term debiased estimate
 
 
+def _final_states(theta, states):
+    return states
+
+
+def _debiased_estimate(theta, schedule, family, rng):
+    """Increment plus an independent level-0 filter estimate: one
+    unbiased draw of the exact-dynamics likelihood."""
+    level, increment = debiased_increment(theta, schedule, family, rng)
+    _, zero = run_particle_filter(family.level_model(theta, 0), schedule.n_base, rng=rng)
+    return level, increment[0] + zero.normalizer
+
+
 def test_randomized_estimate_replays_documented_draw_order():
     family = ou_family()
-    schedule = build_schedule(rho=1.0, n_base=8)
+    schedule = LevelSchedule(rho=1.0, n_base=8)
     theta = [OU_DRIFT]
-    phi = (lambda states: states,)
 
-    est = randomized_smoother_estimate(
-        theta, schedule, family, substream(3, "replay"), test_functions=phi
+    level, increment = debiased_increment(
+        theta, schedule, family, substream(3, "replay"), test_functions=(_final_states,)
     )
 
     rng = substream(3, "replay")
-    level = sample_level(schedule, rng)
+    assert level == sample_level(schedule, rng)
     delta = run_delta_pf(
         family.coupled_model(theta, level),
         schedule.particle_count(level),
         rng=rng,
-        test_functions=phi,
-    )
-    _, zero = run_particle_filter(
-        family.level_model(theta, 0), schedule.n_base, rng=rng, test_functions=phi
+        test_functions=(lambda states: states,),
     )
     probability = float(schedule.pmf(level))
-    assert est.level == level
-    assert est.value_one == delta.value_one / probability + zero.normalizer
-    np.testing.assert_array_equal(est.values, delta.values / probability + zero.values)
-    delta_cost = particle_substeps(schedule, level, family.n_intervals)
-    assert est.cost == delta_cost + schedule.n_base * family.n_intervals
+    assert increment.shape == (2,)
+    assert increment[0] == delta.value_one / probability
+    assert increment[1] == delta.values[0] / probability
 
 
 class _AtomSchedule:
@@ -180,25 +187,22 @@ def test_single_term_telescopes_to_the_sampled_level():
     reps = 2500
     values = np.empty(reps)
     for r in range(reps):
-        est = randomized_smoother_estimate([OU_DRIFT], schedule, family, rng)
-        assert est.level == 1
-        values[r] = est.value_one
+        level, values[r] = _debiased_estimate([OU_DRIFT], schedule, family, rng)
+        assert level == 1
     se = values.std(ddof=1) / math.sqrt(reps)
     assert abs(values.mean() - target) < 4.0 * se
 
 
 def test_randomized_estimate_is_unbiased_for_exact_dynamics():
     family = ou_family()
-    schedule = build_schedule(rho=1.0, n_base=24)
+    schedule = LevelSchedule(rho=1.0, n_base=24)
     exact = ou_exact_lgssm(family, [OU_DRIFT])
     target = math.exp(kalman_loglik(exact))
     rng = substream(5, "debias")
     reps = 2500
     values = np.empty(reps)
     for r in range(reps):
-        values[r] = randomized_smoother_estimate(
-            [OU_DRIFT], schedule, family, rng
-        ).value_one
+        values[r] = _debiased_estimate([OU_DRIFT], schedule, family, rng)[1]
     se = values.std(ddof=1) / math.sqrt(reps)
     assert abs(values.mean() - target) < 4.0 * se
     # debiased draws are signed
@@ -206,12 +210,19 @@ def test_randomized_estimate_is_unbiased_for_exact_dynamics():
 
 
 def test_resource_guard_reports_requirements():
-    family = ou_family()
-    schedule = build_schedule(rho=0.0, n_base=4)
+    schedule = LevelSchedule(rho=0.0, n_base=4)
     # level 1 already needs 4 * 4 * 3 = 48 particle-substeps
     with pytest.raises(ResourceGuardError) as err:
-        randomized_smoother_estimate(
-            [OU_DRIFT], schedule, family, substream(6, "guard"), substep_guard=47
+        run_mlmc_is(
+            UniformPrior(-1.0, 0.0),
+            ProposalState.isotropic(1, sd=0.25),
+            ou_family(),
+            schedule,
+            eps_reg=0.01,
+            n_iterations=20,
+            streams=KeyedStreams(6),
+            test_functions=(_theta_value,),
+            substep_guard=47,
         )
     assert err.value.budget == 47
     assert err.value.level >= 1
@@ -263,7 +274,7 @@ def test_mlmc_requires_positive_regularization():
             UniformPrior(-1.0, 0.0),
             ProposalState.isotropic(1, sd=0.2),
             ou_family(),
-            build_schedule(rho=1.0, n_base=8),
+            LevelSchedule(rho=1.0, n_base=8),
             eps_reg=0.0,
             n_iterations=10,
             streams=KeyedStreams(0),
@@ -277,7 +288,7 @@ def test_mlmc_end_to_end_recovers_exact_posterior_mean():
         UniformPrior(-1.0, 0.0),
         ProposalState.isotropic(1, sd=0.25),
         family,
-        build_schedule(rho=1.0, n_base=16),
+        LevelSchedule(rho=1.0, n_base=16),
         eps_reg=0.01,
         n_iterations=2000,
         streams=KeyedStreams(41),
@@ -311,7 +322,7 @@ def test_mlmc_worker_count_does_not_change_results():
         prior=UniformPrior(-1.0, 0.0),
         proposal=ProposalState.isotropic(1, sd=0.25),
         family=family,
-        schedule=build_schedule(rho=1.0, n_base=8),
+        schedule=LevelSchedule(rho=1.0, n_base=8),
         eps_reg=0.01,
         n_iterations=200,
         test_functions=(_theta_value,),
@@ -325,9 +336,35 @@ def test_mlmc_worker_count_does_not_change_results():
         np.testing.assert_array_equal(a.xi_replicates, b.xi_replicates)
 
 
+def test_mlmc_weights_are_increment_plus_level_zero_estimate():
+    family = ou_family()
+    schedule = LevelSchedule(rho=1.0, n_base=8)
+    streams = KeyedStreams(45)
+    result = run_mlmc_is(
+        UniformPrior(-1.0, 0.0),
+        ProposalState.isotropic(1, sd=0.25),
+        family,
+        schedule,
+        eps_reg=0.01,
+        n_iterations=100,
+        streams=streams,
+        test_functions=(_theta_value,),
+    )
+    jump = result.jump_chain
+    assert len(result.samples) == len(jump) > 1
+    for j, sample in enumerate(result.samples):
+        level, increment = debiased_increment(
+            jump.thetas[j], schedule, family, streams.stream("mlmc", j), (_theta_value,)
+        )
+        assert level == result.levels[j]
+        denominator = math.exp(_log_regularized(jump.logliks[j], 0.01))
+        want = (increment + jump.payloads[j].values) / denominator
+        np.testing.assert_array_equal(sample.xi_replicates, want.reshape(1, -1))
+
+
 def test_mlmc_cost_attribution_is_exact():
     family = ou_family()
-    schedule = build_schedule(rho=1.0, n_base=8)
+    schedule = LevelSchedule(rho=1.0, n_base=8)
     result = run_mlmc_is(
         UniformPrior(-1.0, 0.0),
         ProposalState.isotropic(1, sd=0.25),
@@ -354,7 +391,7 @@ def test_mlmc_cost_attribution_is_exact():
 
 def test_mlmc_guard_applies_to_phase_two():
     family = ou_family()
-    schedule = build_schedule(rho=1.0, n_base=8)
+    schedule = LevelSchedule(rho=1.0, n_base=8)
     # even a level-1 draw needs 16 * 4 * 3 = 192 substeps
     with pytest.raises(ResourceGuardError):
         run_mlmc_is(

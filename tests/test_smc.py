@@ -27,7 +27,7 @@ from mcis.models.diffusion import DiffusionFamily, LinearDrift
 from mcis.models.fk import FeynmanKacModel
 from mcis.models.lgssm import kalman_loglik, kalman_smoother_means, lgssm_feynman_kac
 from mcis.models.diffusion import ou_level_lgssm
-from mcis.multilevel import build_schedule, particle_substeps
+from mcis.multilevel import LevelSchedule, particle_substeps
 from mcis.rng import substream
 from mcis.smc import (
     RESAMPLING_SCHEMES,
@@ -295,7 +295,7 @@ def test_delta_cost_counts_substeps_times_particles(monkeypatch):
     model = ou_family().coupled_model([OU_DRIFT], level=2)
     est = run_delta_pf(model, 16, rng=substream(15, "cost"))
     n_intervals = len(YS_OU) - 1
-    schedule = build_schedule(rho=0.0, n_base=16)  # 16 particles at every level
+    schedule = LevelSchedule(rho=0.0, n_base=16)  # 16 particles at every level
     assert sum(executed) == particle_substeps(schedule, 2, n_intervals)
     assert sum(executed) == 16 * n_intervals * (4 + 2)
     assert est.level == 2
